@@ -41,11 +41,11 @@ fmt-check:
 # load spike on a shared runner cannot masquerade as a regression — with the
 # text stream shown and also converted to JSON (name -> ns/op, B/op,
 # allocs/op, custom metrics) by cmd/benchjson. Regenerate after performance
-# work and commit the BENCH_pr8.json diff; BENCH_pr3.json stays frozen as
+# work and commit the BENCH_pr12.json diff; BENCH_pr3.json stays frozen as
 # the pre-batching reference the compare gate measures against.
 bench:
-	$(GO) test -bench . -benchmem -count 3 -run '^$$' . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_pr8.json
-	@echo "wrote BENCH_pr8.json"
+	$(GO) test -bench . -benchmem -count 3 -run '^$$' . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_pr12.json
+	@echo "wrote BENCH_pr12.json"
 
 # The real-time sample-rate floor the batched receive chain must sustain
 # (aggregate complex samples/sec across antennas in BenchmarkRealtime).

@@ -3,6 +3,7 @@ package mimo
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"repro/internal/cmatrix"
 	"repro/internal/modem"
@@ -199,156 +200,174 @@ func (d *linearDetector) Equalize(dst []complex128, k int, y []complex128) error
 	return nil
 }
 
-// mlDetector performs exhaustive joint maximum-likelihood detection with
-// per-bit max-log LLRs. Complexity is M^N_SS per subcarrier, so construction
-// rejects configurations beyond 2^16 hypotheses.
+// mlDetector computes exact joint maximum-likelihood max-log LLRs without
+// searching the joint constellation. It enumerates only streams 1…N_SS−1
+// (M^(N_SS−1) prefixes) and solves stream 0 in closed form, the layered
+// orthogonal lattice idea (LORD, Siti & Fuchs, ICC 2006):
+//
+// For a prefix with residual e = y − Σ_{j≥1} h_j s_j, completing the square
+// gives ‖e − h₀x‖² = c + g·|u − x|² with g = ‖h₀‖², u = h₀ᴴe/g and
+// c = ‖e‖² − g|u|². The 802.11 Gray QAM point index splits into I bits
+// (0…axis−1) and Q bits (axis…2·axis−1) that select independent PAM levels,
+// so |u − x|² is a sum of one I and one Q level distance. Per-axis level
+// distances therefore yield, per prefix, both the prefix's best metric
+// (folded into a per-point minimum for streams ≥ 1) and stream 0's per-bit
+// minima. The result is the exhaustive search's max-log LLR for every bit,
+// at any N_RX (N_RX < N_SS included), for M^(N_SS−1)·(2√M + N_BPSCS) work
+// per tone instead of M^N_SS·N_SS·N_RX. A dead column (g = 0) sets u = 0,
+// which makes stream 0's LLRs exactly zero.
+//
+// Construction rejects joint constellations beyond 2^16 hypotheses.
 type mlDetector struct {
 	nss      int
 	nbpsc    int
 	points   []complex128
-	h        []*cmatrix.Matrix
+	levI     []float64 // I-axis levels indexed by the point index's I bits
+	levQ     []float64 // Q-axis levels indexed by its Q bits ({0} for BPSK)
 	noiseVar float64
-	// scratch
-	hyp  []complex128
-	best []int
+	nrx      int
+	// Per-subcarrier state from Prepare, flattened and reused across calls:
+	// g[k] = ‖h₀‖², w0[k·nrx+r] = conj(h₀[r])/g (0 when g = 0), and
+	// hs[((k·(nss−1)+j−1)·M+p)·nrx+r] = h_j[r]·points[p] for streams j ≥ 1.
+	g  []float64
+	w0 []complex128
+	hs []complex128
+	// Detect and Equalize run on the detector's own scratch.
+	sc  *DetectScratch
+	out []float64
 }
 
 // NewML returns a maximum-likelihood joint detector, or an error when the
-// joint constellation is too large to search.
+// joint constellation exceeds 2^16 hypotheses.
 func NewML(scheme modem.Scheme, nss int) (Detector, error) {
 	nbpsc := scheme.BitsPerSymbol()
 	total := nss * nbpsc
 	if total > 16 {
 		return nil, fmt.Errorf("mimo: ML with %d streams of %v needs 2^%d hypotheses; not supported", nss, scheme, total)
 	}
-	return &mlDetector{
+	points := modem.NewMapper(scheme).Points()
+	bitsI := nbpsc - nbpsc/2
+	levI := make([]float64, 1<<uint(bitsI))
+	for p := range levI {
+		levI[p] = real(points[p])
+	}
+	levQ := make([]float64, 1<<uint(nbpsc/2))
+	for q := range levQ {
+		levQ[q] = imag(points[q<<uint(bitsI)])
+	}
+	d := &mlDetector{
 		nss:    nss,
 		nbpsc:  nbpsc,
-		points: modem.NewMapper(scheme).Points(),
-		hyp:    make([]complex128, nss),
-		best:   make([]int, nss),
-	}, nil
+		points: points,
+		levI:   levI,
+		levQ:   levQ,
+		out:    make([]float64, total),
+	}
+	d.sc = d.NewScratch()
+	return d, nil
 }
 
 func (d *mlDetector) Name() string { return "ml" }
 
 func (d *mlDetector) Prepare(h []*cmatrix.Matrix, noiseVar float64) error {
+	nrx := 0
 	for k, hk := range h {
 		if hk.Cols != d.nss {
 			return fmt.Errorf("mimo: channel at subcarrier %d has %d columns, want %d", k, hk.Cols, d.nss)
 		}
+		if k > 0 && hk.Rows != nrx {
+			return fmt.Errorf("mimo: channel at subcarrier %d has %d rows, want %d", k, hk.Rows, nrx)
+		}
+		nrx = hk.Rows
 	}
 	if noiseVar <= 0 {
 		noiseVar = 1e-12
 	}
-	d.h = h
-	d.noiseVar = noiseVar
-	return nil
-}
-
-func (d *mlDetector) Detect(llr [][]float64, k int, y []complex128) ([][]float64, error) {
-	if d.h == nil {
-		return llr, fmt.Errorf("mimo: ml detector used before Prepare")
-	}
-	if k < 0 || k >= len(d.h) {
-		return llr, fmt.Errorf("mimo: subcarrier %d out of range", k)
-	}
-	if len(llr) != d.nss {
-		return llr, fmt.Errorf("mimo: %d LLR streams, want %d", len(llr), d.nss)
-	}
-	h := d.h[k]
 	m := len(d.points)
-	totalBits := d.nss * d.nbpsc
-	// d0[b], d1[b]: best squared distance with joint bit b = 0 / 1.
-	var d0, d1 [16]float64
-	for b := 0; b < totalBits; b++ {
-		d0[b], d1[b] = math.Inf(1), math.Inf(1)
-	}
-	nHyp := 1
-	for i := 0; i < d.nss; i++ {
-		nHyp *= m
-	}
-	for hyp := 0; hyp < nHyp; hyp++ {
-		// Decompose the hypothesis index into per-stream point indices.
-		rem := hyp
-		for i := 0; i < d.nss; i++ {
-			d.best[i] = rem % m
-			rem /= m
+	d.g = resize(d.g, len(h))
+	d.w0 = resize(d.w0, len(h)*nrx)
+	d.hs = resize(d.hs, len(h)*(d.nss-1)*m*nrx)
+	for k, hk := range h {
+		var g float64
+		for r := 0; r < nrx; r++ {
+			v := hk.At(r, 0)
+			g += real(v)*real(v) + imag(v)*imag(v)
 		}
-		// Distance ‖y − H·s‖².
-		var dist float64
-		for r := 0; r < h.Rows; r++ {
-			var acc complex128
-			for c := 0; c < d.nss; c++ {
-				acc += h.At(r, c) * d.points[d.best[c]]
+		d.g[k] = g
+		w0 := d.w0[k*nrx : (k+1)*nrx]
+		for r := range w0 {
+			w0[r] = 0
+			if g > 0 {
+				w0[r] = cmplx.Conj(hk.At(r, 0)) / complex(g, 0)
 			}
-			diff := y[r] - acc
-			dist += real(diff)*real(diff) + imag(diff)*imag(diff)
 		}
-		for i := 0; i < d.nss; i++ {
-			pt := d.best[i]
-			for b := 0; b < d.nbpsc; b++ {
-				idx := i*d.nbpsc + b
-				if (pt>>uint(b))&1 == 0 {
-					if dist < d0[idx] {
-						d0[idx] = dist
-					}
-				} else if dist < d1[idx] {
-					d1[idx] = dist
+		for j := 1; j < d.nss; j++ {
+			base := (k*(d.nss-1) + j - 1) * m * nrx
+			for p, pt := range d.points {
+				for r := 0; r < nrx; r++ {
+					d.hs[base+p*nrx+r] = hk.At(r, j) * pt
 				}
 			}
 		}
 	}
-	for i := 0; i < d.nss; i++ {
-		for b := 0; b < d.nbpsc; b++ {
-			idx := i*d.nbpsc + b
-			llr[i] = append(llr[i], (d1[idx]-d0[idx])/d.noiseVar)
-		}
+	d.nrx = nrx
+	d.noiseVar = noiseVar
+	return nil
+}
+
+// resize returns s resliced to n elements, reallocating only when its
+// capacity is short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (d *mlDetector) Detect(llr [][]float64, k int, y []complex128) ([][]float64, error) {
+	if len(llr) != d.nss {
+		return llr, fmt.Errorf("mimo: %d LLR streams, want %d", len(llr), d.nss)
+	}
+	if err := d.DetectTo(d.sc, d.out, k, y); err != nil {
+		return llr, err
+	}
+	for i := range llr {
+		llr[i] = append(llr[i], d.out[i*d.nbpsc:(i+1)*d.nbpsc]...)
 	}
 	return llr, nil
 }
 
-// Equalize returns the hard joint-ML decision points.
+// Equalize returns the hard joint-ML decision points: the best prefix's
+// streams 1…N_SS−1 and stream 0 sliced per axis from that prefix's u.
 func (d *mlDetector) Equalize(dst []complex128, k int, y []complex128) error {
-	if d.h == nil {
-		return fmt.Errorf("mimo: ml detector used before Prepare")
-	}
 	if len(dst) != d.nss {
 		return fmt.Errorf("mimo: Equalize dst length %d, want %d", len(dst), d.nss)
 	}
-	h := d.h[k]
+	if err := d.search(d.sc, k, y); err != nil {
+		return err
+	}
+	sc := d.sc
 	m := len(d.points)
-	nHyp := 1
-	for i := 0; i < d.nss; i++ {
-		nHyp *= m
-	}
-	bestDist := math.Inf(1)
-	bestHyp := 0
-	for hyp := 0; hyp < nHyp; hyp++ {
-		rem := hyp
-		for i := 0; i < d.nss; i++ {
-			d.best[i] = rem % m
-			rem /= m
-		}
-		var dist float64
-		for r := 0; r < h.Rows; r++ {
-			var acc complex128
-			for c := 0; c < d.nss; c++ {
-				acc += h.At(r, c) * d.points[d.best[c]]
-			}
-			diff := y[r] - acc
-			dist += real(diff)*real(diff) + imag(diff)*imag(diff)
-		}
-		if dist < bestDist {
-			bestDist, bestHyp = dist, hyp
-		}
-	}
-	rem := bestHyp
-	for i := 0; i < d.nss; i++ {
-		dst[i] = d.points[rem%m]
+	rem := sc.bestPrefix
+	for j := 1; j < d.nss; j++ {
+		dst[j] = d.points[rem%m]
 		rem /= m
 	}
+	iPat := nearestLevel(d.levI, real(sc.bestU))
+	qPat := nearestLevel(d.levQ, imag(sc.bestU))
+	dst[0] = d.points[iPat|qPat<<uint(d.nbpsc-d.nbpsc/2)]
 	return nil
+}
+
+// nearestLevel returns the index of the level closest to v.
+func nearestLevel(levels []float64, v float64) int {
+	best, bestDist := 0, math.Inf(1)
+	for i, lv := range levels {
+		if dd := (v - lv) * (v - lv); dd < bestDist {
+			best, bestDist = i, dd
+		}
+	}
+	return best
 }
 
 // NewDetector constructs a detector by name: "zf", "mmse", "sic" or "ml".

@@ -2,6 +2,7 @@ package mimo
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -353,9 +354,13 @@ func BenchmarkZFDetect2x2QAM64(b *testing.B) {
 	}
 }
 
-func BenchmarkMLDetect2x2QPSK(b *testing.B) {
+func BenchmarkMLDetect2x2QPSK(b *testing.B)  { benchML(b, modem.QPSK) }
+func BenchmarkMLDetect2x2QAM16(b *testing.B) { benchML(b, modem.QAM16) }
+
+// benchML times one ML Detect call on a random 2×2 tone.
+func benchML(b *testing.B, scheme modem.Scheme) {
 	r := rand.New(rand.NewSource(7))
-	d, err := NewML(modem.QPSK, 2)
+	d, err := NewML(scheme, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -374,6 +379,192 @@ func BenchmarkMLDetect2x2QPSK(b *testing.B) {
 	}
 }
 
+// exhaustiveML is the reference joint ML detector: it searches all M^N_SS
+// hypotheses of one tone and returns the stream-major max-log LLRs, the
+// argmin hypothesis's points and its metric ‖y − H·s‖².
+func exhaustiveML(h *cmatrix.Matrix, points []complex128, nbpsc int, noiseVar float64, y []complex128) ([]float64, []complex128, float64) {
+	nss, m := h.Cols, len(points)
+	totalBits := nss * nbpsc
+	d0, d1 := make([]float64, totalBits), make([]float64, totalBits)
+	for b := range d0 {
+		d0[b], d1[b] = math.Inf(1), math.Inf(1)
+	}
+	nHyp := 1
+	for i := 0; i < nss; i++ {
+		nHyp *= m
+	}
+	pt := make([]int, nss)
+	bestDist, bestHyp := math.Inf(1), 0
+	for hyp := 0; hyp < nHyp; hyp++ {
+		rem := hyp
+		for i := range pt {
+			pt[i] = rem % m
+			rem /= m
+		}
+		var dist float64
+		for r := 0; r < h.Rows; r++ {
+			var acc complex128
+			for c := 0; c < nss; c++ {
+				acc += h.At(r, c) * points[pt[c]]
+			}
+			diff := y[r] - acc
+			dist += real(diff)*real(diff) + imag(diff)*imag(diff)
+		}
+		if dist < bestDist {
+			bestDist, bestHyp = dist, hyp
+		}
+		for i, p := range pt {
+			for b := 0; b < nbpsc; b++ {
+				idx := i*nbpsc + b
+				if (p>>uint(b))&1 == 0 {
+					d0[idx] = math.Min(d0[idx], dist)
+				} else {
+					d1[idx] = math.Min(d1[idx], dist)
+				}
+			}
+		}
+	}
+	llr := make([]float64, totalBits)
+	for idx := range llr {
+		llr[idx] = (d1[idx] - d0[idx]) / noiseVar
+	}
+	hard := make([]complex128, nss)
+	for i := range hard {
+		hard[i] = points[bestHyp%m]
+		bestHyp /= m
+	}
+	return llr, hard, bestDist
+}
+
+// jointMetric returns ‖y − H·s‖².
+func jointMetric(h *cmatrix.Matrix, s, y []complex128) float64 {
+	var dist float64
+	for r, v := range h.MulVec(s) {
+		diff := y[r] - v
+		dist += real(diff)*real(diff) + imag(diff)*imag(diff)
+	}
+	return dist
+}
+
+// TestMLMatchesExhaustive is the ML detector's oracle property: over every
+// constellation, 1–4 streams, N_RX ∈ {N_SS−1, N_SS, N_SS+1} and every
+// joint constellation up to 2^16 points, the reduced search returns the
+// exhaustive search's max-log LLRs (to rounding, with identical signs) and
+// its Equalize returns the exhaustive argmin. The last tone of each case
+// has a dead channel column, whose streams carry exactly-zero LLRs; there
+// the argmin is a tie, so Equalize must reach the minimum metric instead.
+func TestMLMatchesExhaustive(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	sign := func(v float64) int {
+		switch {
+		case v > 0:
+			return 1
+		case v < 0:
+			return -1
+		}
+		return 0
+	}
+	for _, scheme := range []modem.Scheme{modem.BPSK, modem.QPSK, modem.QAM16, modem.QAM64} {
+		nbpsc := scheme.BitsPerSymbol()
+		points := modem.NewMapper(scheme).Points()
+		for nss := 1; nss <= 4 && nss*nbpsc <= 16; nss++ {
+			for nrx := max(nss-1, 1); nrx <= nss+1; nrx++ {
+				det, err := NewML(scheme, nss)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bd := det.(BatchDetector)
+				h := randChannels(r, 4, nrx, nss)
+				dead := h[len(h)-1]
+				col := r.Intn(nss)
+				for row := 0; row < nrx; row++ {
+					dead.Set(row, col, 0)
+				}
+				const noiseVar = 0.1
+				if err := det.Prepare(h, noiseVar); err != nil {
+					t.Fatal(err)
+				}
+				sc := bd.NewScratch()
+				out := make([]float64, nss*nbpsc)
+				eq := make([]complex128, nss)
+				x := make([]complex128, nss)
+				for k, hk := range h {
+					for trial := 0; trial < 3; trial++ {
+						for i := range x {
+							x[i] = points[r.Intn(len(points))]
+						}
+						y := hk.MulVec(x)
+						for i := range y {
+							y[i] += complex(r.NormFloat64(), r.NormFloat64()) * complex(math.Sqrt(noiseVar/2), 0)
+						}
+						want, wantHard, wantDist := exhaustiveML(hk, points, nbpsc, noiseVar, y)
+						if err := bd.DetectTo(sc, out, k, y); err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("%v nss=%d nrx=%d k=%d trial=%d", scheme, nss, nrx, k, trial)
+						for i := range want {
+							if diff := math.Abs(out[i] - want[i]); diff > 1e-9*math.Max(1, math.Abs(want[i])) {
+								t.Fatalf("%s llr[%d]: got %v, exhaustive %v", name, i, out[i], want[i])
+							}
+							if sign(out[i]) != sign(want[i]) {
+								t.Fatalf("%s llr[%d]: sign of %v differs from exhaustive %v", name, i, out[i], want[i])
+							}
+						}
+						if err := det.Equalize(eq, k, y); err != nil {
+							t.Fatal(err)
+						}
+						if hk == dead {
+							if got := jointMetric(hk, eq, y); got-wantDist > 1e-9*math.Max(1, wantDist) {
+								t.Fatalf("%s: Equalize metric %v, exhaustive minimum %v", name, got, wantDist)
+							}
+							continue
+						}
+						for i := range eq {
+							if eq[i] != wantHard[i] {
+								t.Fatalf("%s: Equalize stream %d = %v, exhaustive argmin %v", name, i, eq[i], wantHard[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMLSteadyStateAllocFree pins the ML detector's steady state: once
+// sized by a first packet, Prepare, Detect and DetectTo allocate nothing.
+func TestMLSteadyStateAllocFree(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	det, err := NewML(modem.QAM16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd := det.(BatchDetector)
+	h := randChannels(r, 52, 2, 2)
+	if err := det.Prepare(h, 0.05); err != nil {
+		t.Fatal(err)
+	}
+	sc := bd.NewScratch()
+	out := make([]float64, 2*bd.BitsPerStream())
+	llr := [][]float64{make([]float64, 0, 4), make([]float64, 0, 4)}
+	y := []complex128{complex(r.NormFloat64(), r.NormFloat64()), complex(r.NormFloat64(), r.NormFloat64())}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := det.Prepare(h, 0.05); err != nil {
+			t.Fatal(err)
+		}
+		if err := bd.DetectTo(sc, out, 7, y); err != nil {
+			t.Fatal(err)
+		}
+		llr[0], llr[1] = llr[0][:0], llr[1][:0]
+		if _, err := det.Detect(llr, 7, y); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Prepare+DetectTo+Detect: %v allocs, want 0", allocs)
+	}
+}
+
 // randChannels builds nk random nrx×nss channel matrices.
 func randChannels(r *rand.Rand, nk, nrx, nss int) []*cmatrix.Matrix {
 	h := make([]*cmatrix.Matrix, nk)
@@ -389,8 +580,11 @@ func randChannels(r *rand.Rand, nk, nrx, nss int) []*cmatrix.Matrix {
 func TestDetectToMatchesDetect(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for _, name := range []string{"zf", "mmse", "sic", "ml"} {
-		for _, scheme := range []modem.Scheme{modem.BPSK, modem.QPSK, modem.QAM16} {
-			for nss := 1; nss <= 2; nss++ {
+		for _, scheme := range []modem.Scheme{modem.BPSK, modem.QPSK, modem.QAM16, modem.QAM64} {
+			for nss := 1; nss <= 3; nss++ {
+				if name == "ml" && nss*scheme.BitsPerSymbol() > 16 {
+					continue // beyond the joint constellation NewML accepts
+				}
 				det, err := NewDetector(name, scheme, nss)
 				if err != nil {
 					t.Fatal(err)

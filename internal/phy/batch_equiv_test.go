@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/channel"
+	"repro/internal/mimo"
 )
 
 // runChain runs one TX→channel→RX cycle with the given receiver config and
@@ -55,7 +56,8 @@ func makeBurst(t *testing.T, mcsIdx, psduLen int, seed int64) ([][]complex128, [
 }
 
 // TestBatchMatchesScalarAllMCS is the batching correctness property: for
-// every MCS and both detector families, the block-batched data path must
+// every MCS and every detector family (ML on each MCS whose joint
+// constellation NewML accepts), the block-batched data path must
 // produce the exact depunctured LLR stream — and therefore the exact decoded
 // PSDU and CPE trace — of the symbol-at-a-time reference chain, at every
 // worker count. Float comparison is ==, not a tolerance: the batch path
@@ -64,9 +66,11 @@ func TestBatchMatchesScalarAllMCS(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.NumCPU()}
 	for mcsIdx := 0; mcsIdx <= 31; mcsIdx++ {
 		dets := []string{"mmse", "sic"}
-		if mcsIdx%8 <= 1 {
-			// ML's hypothesis sweep is exponential in NSS·N_BPSCS; exercise
-			// it where the sweep is small (BPSK/QPSK per stream).
+		mcs, err := Lookup(mcsIdx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mimo.NewML(mcs.Scheme, mcs.NSS); err == nil {
 			dets = append(dets, "ml")
 		}
 		rxs, psdu, nrx := makeBurst(t, mcsIdx, 120, int64(mcsIdx))
