@@ -92,13 +92,6 @@ var outputs [numStates][2]byte
 // nextState[state][input] is the successor register state.
 var nextState [numStates][2]int
 
-// butterflyOut[j] is the coded-bit pair emitted on the state-2j, input-0
-// edge of trellis butterfly j (states 2j, 2j+1 → j, j+32). Because both
-// generators tap the newest and oldest register bits, the other three edges
-// of the butterfly emit either the same pair or its complement o^3, which
-// is what lets the Viterbi ACS loop process four edges per table load.
-var butterflyOut [numStates / 2]byte
-
 func init() {
 	for s := 0; s < numStates; s++ {
 		for in := 0; in < 2; in++ {
@@ -110,9 +103,6 @@ func init() {
 			outputs[s][in] = a | b<<1
 			nextState[s][in] = int(window >> 1)
 		}
-	}
-	for j := range butterflyOut {
-		butterflyOut[j] = outputs[2*j][0]
 	}
 }
 

@@ -337,6 +337,29 @@ func TestViterbiButterflyMatchesReferenceSweep(t *testing.T) {
 			t.Fatalf("trial %d (steps=%d terminated=%v): butterfly decode differs from reference sweep", trial, steps, terminated)
 		}
 	}
+	// Full-length inputs: an MCS0 1500-octet PSDU runs 12 022 trellis steps
+	// (16 SERVICE + 12 000 data + 6 tail bits). The erasure case
+	// depunctures a rate-3/4 stream, which erases one in three values.
+	const fullSteps = 16 + 8*1500 + 6
+	for _, rate := range []Rate{Rate1_2, Rate3_4} {
+		for _, terminated := range []bool{false, true} {
+			coded := make([]float64, codedLen(fullSteps, rate))
+			for i := range coded {
+				coded[i] = r.NormFloat64() + 0.5
+			}
+			llr, err := Depuncture(coded, fullSteps, rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := v.DecodeSoft(llr, terminated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, referenceDecode(llr, terminated)) {
+				t.Fatalf("%d steps (rate %v terminated=%v): butterfly decode differs from reference sweep", fullSteps, rate, terminated)
+			}
+		}
+	}
 }
 
 func TestViterbiReserveAvoidsDecodeAllocs(t *testing.T) {

@@ -29,6 +29,8 @@ type Viterbi struct {
 	hardLLR []float64
 }
 
+//go:generate go run ./internal/acsgen
+
 // NewViterbi returns a decoder.
 func NewViterbi() *Viterbi {
 	return &Viterbi{
@@ -101,10 +103,12 @@ func (v *Viterbi) DecodeSoft(llr []float64, terminated bool) ([]byte, error) {
 // and bottom taps of the shift register, so flipping either the input bit
 // or the oldest state bit complements both coded bits: the four edges of
 // butterfly j (states 2j, 2j+1 → j, j+32) carry only two distinct output
-// pairs, o and o^3, and share one ±la/±lb addend pattern. The per-edge
-// arithmetic — (m ± la) ± lb with strictly-greater updates in ascending
-// predecessor order — is identical to the straightforward 128-edge sweep,
-// so decoded outputs are bit-identical; only the schedule changed.
+// pairs, o and o^3, and share one ±la/±lb addend pattern. acsSweep
+// (acs_gen.go, generated from the taps) writes the 32 butterflies out
+// straight-line with those signs as constants. The per-edge arithmetic —
+// (m ± la) ± lb with strictly-greater updates in ascending predecessor
+// order — is identical to the straightforward 128-edge sweep, so decoded
+// outputs are bit-identical; only the schedule changed.
 //
 //mimonet:hot
 func (v *Viterbi) DecodeSoftInto(dst []byte, llr []float64, terminated bool) ([]byte, error) {
@@ -124,45 +128,21 @@ func (v *Viterbi) DecodeSoftInto(dst []byte, llr []float64, terminated bool) ([]
 	v.metric[0] = 0 // encoder starts in state 0
 
 	// Fixed-size array views let the compiler drop bounds checks in the ACS
-	// loop; both slices are always exactly numStates long.
+	// kernel; both slices are always exactly numStates long.
+	//
+	// In each butterfly the correlation addend is +llr for an expected 0
+	// and −llr for an expected 1; erasures (llr 0) contribute nothing
+	// either way. Writing m − l for m + (−l) rounds identically in IEEE
+	// 754. The compare-select is branchless: survivor branches are decided
+	// by channel noise, so a conditional mispredicts roughly half the time.
+	// max picks the winning metric without new arithmetic, and the survivor
+	// bit is the sign of the exact difference — 1 iff the odd predecessor
+	// strictly wins, the same strictly-greater tie-break as the branching
+	// form (metrics are sums that can never be −0, so a−c = +0 on ties).
 	cur := (*[numStates]float64)(v.metric)
-	nxt := (*[numStates]float64)(v.nextMetric)
-	for t := 0; t < steps; t++ {
-		la, lb := llr[2*t], llr[2*t+1]
-		// Correlation addends indexed by expected coded bit: +llr for an
-		// expected 0, −llr for an expected 1. Erasures (llr 0) contribute
-		// nothing either way.
-		selA := [2]float64{la, -la}
-		selB := [2]float64{lb, -lb}
-		var surv uint64
-		for j := 0; j < numStates/2; j++ {
-			m0, m1 := cur[2*j], cur[2*j+1]
-			o := butterflyOut[j]
-			oa, ob := o&1, o>>1
-			aa, na := selA[oa], selA[oa^1]
-			ab, nb := selB[ob], selB[ob^1]
-			// Edge outputs: 2j→j carries o, 2j+1→j and 2j→j+32 carry o^3,
-			// 2j+1→j+32 carries o again.
-			a := (m0 + aa) + ab
-			c := (m1 + na) + nb
-			d := (m0 + na) + nb
-			e := (m1 + aa) + ab
-			// Branchless compare-select: the survivor branches are decided
-			// by channel noise, so a conditional here mispredicts roughly
-			// half the time. max picks the winning metric without new
-			// arithmetic, and the survivor bit is the sign of the exact
-			// difference — 1 iff the odd predecessor strictly wins, the same
-			// strictly-greater tie-break as the branching form (metrics are
-			// sums that can never be −0, so a−c = +0 on ties).
-			nxt[j] = max(a, c)
-			nxt[j+numStates/2] = max(d, e)
-			surv |= (math.Float64bits(a-c)>>63)<<j |
-				(math.Float64bits(d-e)>>63)<<(j+numStates/2)
-		}
-		v.survivors[t] = surv
-		cur, nxt = nxt, cur
+	if acsSweep(cur, (*[numStates]float64)(v.nextMetric), llr, v.survivors) != cur {
+		v.metric, v.nextMetric = v.nextMetric, v.metric // odd step count
 	}
-	v.metric, v.nextMetric = cur[:], nxt[:]
 
 	state := 0
 	if !terminated {

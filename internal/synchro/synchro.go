@@ -157,10 +157,29 @@ func lagCFO(rx [][]complex128, lag int) (float64, error) {
 }
 
 // CorrectCFO derotates every stream in place by the given offset (radians
-// per sample), starting from phase 0 at index 0.
+// per sample), starting from phase 0 at index 0. Streams may differ in
+// length.
+//
+// The phasor recurrence rot *= step is serial, so its latency bounds the
+// loop; it runs once per sample index and the phasor is applied to every
+// stream in the same pass. Each stream sees the same product chain as a
+// per-stream dsp.Rotate, so the output is bit-identical to it.
+//
+//mimonet:hot
 func CorrectCFO(rx [][]complex128, omega float64) {
+	n := 0
 	for _, r := range rx {
-		dsp.Rotate(r, 0, -omega)
+		n = max(n, len(r))
+	}
+	rot := cmplx.Exp(0)
+	step := cmplx.Exp(complex(0, -omega))
+	for i := 0; i < n; i++ {
+		for _, r := range rx {
+			if i < len(r) {
+				r[i] *= rot
+			}
+		}
+		rot *= step
 	}
 }
 
@@ -183,18 +202,28 @@ func FineTiming(rx [][]complex128, searchFrom, searchTo int) (int, error) {
 	if searchTo <= searchFrom {
 		return 0, fmt.Errorf("synchro: empty fine-timing window [%d, %d)", searchFrom, searchTo)
 	}
+	// The LTF has two consecutive long symbols: the score at pos sums, per
+	// antenna, the correlation magnitudes at pos and pos+64, which sharpens
+	// the peak and rejects single-symbol false alarms. The second
+	// correlation at pos is the first at pos+64, so each lag is correlated
+	// once: ring holds each antenna's last 64 magnitudes, indexed by lag
+	// mod 64, until the lag 64 later pairs with them.
+	var ringBuf [4 * 64]float64
+	ring := ringBuf[:]
+	if need := 64 * len(rx); need > len(ring) {
+		ring = make([]float64, need)
+	}
 	best, bestV := -1, math.Inf(-1)
-	for pos := searchFrom; pos < searchTo; pos++ {
+	for k := searchFrom; k < searchTo+64; k++ {
+		pos := k - 64
 		var v float64
-		for _, r := range rx {
-			// The LTF has two consecutive long symbols: correlate at pos
-			// and pos+64 and demand both, which sharpens the peak and
-			// rejects single-symbol false alarms.
-			c1 := dotConj(r[pos:pos+64], ref)
-			c2 := dotConj(r[pos+64:pos+128], ref)
-			v += cmplx.Abs(c1) + cmplx.Abs(c2)
+		for a, r := range rx {
+			m := cmplx.Abs(dotConj(r[k:k+64], ref))
+			slot := &ring[64*a+(k&63)]
+			v += *slot + m
+			*slot = m
 		}
-		if v > bestV {
+		if pos >= searchFrom && v > bestV {
 			best, bestV = pos, v
 		}
 	}

@@ -2,6 +2,7 @@ package synchro
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -209,6 +210,99 @@ func TestCorrectCFORemovesRotation(t *testing.T) {
 	}
 }
 
+// randStreams returns nrx streams of independent unit-variance complex
+// Gaussian samples with the given lengths.
+func randStreams(r *rand.Rand, lens ...int) [][]complex128 {
+	rx := make([][]complex128, len(lens))
+	for a, n := range lens {
+		rx[a] = make([]complex128, n)
+		for i := range rx[a] {
+			rx[a][i] = complex(r.NormFloat64(), r.NormFloat64())
+		}
+	}
+	return rx
+}
+
+func TestCorrectCFOMatchesRotate(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 40; trial++ {
+		nrx := 1 + trial%4
+		lens := make([]int, nrx)
+		for a := range lens {
+			lens[a] = 2000
+			if trial%3 == 0 {
+				lens[a] = r.Intn(3000) // unequal lengths, empty included
+			}
+		}
+		rx := randStreams(r, lens...)
+		omega := (r.Float64() - 0.5) * 0.4
+		want := make([][]complex128, nrx)
+		for a := range rx {
+			want[a] = append([]complex128(nil), rx[a]...)
+			dsp.Rotate(want[a], 0, -omega)
+		}
+		CorrectCFO(rx, omega)
+		for a := range rx {
+			for i := range rx[a] {
+				if math.Float64bits(real(rx[a][i])) != math.Float64bits(real(want[a][i])) ||
+					math.Float64bits(imag(rx[a][i])) != math.Float64bits(imag(want[a][i])) {
+					t.Fatalf("trial %d stream %d sample %d: %v, dsp.Rotate gives %v",
+						trial, a, i, rx[a][i], want[a][i])
+				}
+			}
+		}
+	}
+}
+
+// referenceFineTiming is FineTiming's original loop, which correlates both
+// long symbols afresh at every candidate position. It is the oracle for the
+// one-correlation-per-lag schedule.
+func referenceFineTiming(rx [][]complex128, searchFrom, searchTo int) int {
+	ref := preamble.LLTF()[32:96]
+	best, bestV := -1, math.Inf(-1)
+	for pos := searchFrom; pos < searchTo; pos++ {
+		var v float64
+		for _, r := range rx {
+			c1 := dotConj(r[pos:pos+64], ref)
+			c2 := dotConj(r[pos+64:pos+128], ref)
+			v += cmplx.Abs(c1) + cmplx.Abs(c2)
+		}
+		if v > bestV {
+			best, bestV = pos, v
+		}
+	}
+	return best
+}
+
+func TestFineTimingMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 60; trial++ {
+		// Past four antennas the magnitude ring no longer fits its stack
+		// buffer; cover that case too.
+		nrx := 1 + trial%6
+		var rx [][]complex128
+		if trial%2 == 0 {
+			rx, _ = burst(r, nrx, 50+r.Intn(200), 0.01, 5+float64(r.Intn(20)))
+		} else {
+			lens := make([]int, nrx)
+			for a := range lens {
+				lens[a] = 700
+			}
+			rx = randStreams(r, lens...)
+		}
+		n := len(rx[0])
+		from := r.Intn(n - 200)
+		to := from + 1 + r.Intn(n-128-from)
+		got, err := FineTiming(rx, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceFineTiming(rx, from, to); got != want {
+			t.Fatalf("trial %d (nrx=%d window [%d, %d)): FineTiming %d, reference %d", trial, nrx, from, to, got, want)
+		}
+	}
+}
+
 func TestFineTimingLocatesLTF(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
@@ -242,6 +336,28 @@ func BenchmarkDetectorPush2RX(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.Push(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCorrectCFO4RX derotates four streams of an MCS0 1500-octet
+// burst's length.
+func BenchmarkCorrectCFO4RX(b *testing.B) {
+	rx := randStreams(rand.New(rand.NewSource(10)), 38500, 38500, 38500, 38500)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		CorrectCFO(rx, 1e-3)
+	}
+}
+
+// BenchmarkFineTiming4RX searches the receiver's 320-sample window on four
+// streams.
+func BenchmarkFineTiming4RX(b *testing.B) {
+	rx, start := burst(rand.New(rand.NewSource(11)), 4, 200, 0, 20)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := FineTiming(rx, start+120, start+440); err != nil {
 			b.Fatal(err)
 		}
 	}
