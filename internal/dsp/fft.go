@@ -1,6 +1,7 @@
 // Package dsp provides the signal-processing primitives used by the MIMONet
-// transceiver: radix-2 FFTs, correlation, FIR filtering, window functions and
-// complex vector utilities.
+// transceiver: power-of-two FFTs (a generated straight-line kernel at the
+// OFDM size 64, radix-2 loops otherwise), correlation, FIR filtering, window
+// functions and complex vector utilities.
 //
 // All routines operate on []complex128. Hot-path types (FFT plans, filters)
 // preallocate their working state so steady-state operation is allocation
@@ -18,6 +19,12 @@ import (
 // the bit-reversal permutation, so callers that transform many blocks should
 // create one plan and reuse it. A plan is safe for concurrent use: Forward
 // and Inverse do not mutate plan state.
+//
+// Size-64 plans run fft64, generated by internal/fftgen: the same radix-2
+// butterflies with the same twiddle entries as the loop other sizes run,
+// scheduled as three passes that each keep four values in locals across two
+// stages. Only the order of independent butterflies changes, so the output
+// is bit-identical to the loop's.
 type FFT struct {
 	n          int
 	logN       uint
@@ -93,11 +100,31 @@ func (f *FFT) Inverse(dst, src []complex128) {
 	}
 }
 
+//go:generate go run ./internal/fftgen
+
 func (f *FFT) transform(dst, src []complex128, inverse bool) {
 	n := f.n
 	if len(dst) != n || len(src) != n {
 		panic(fmt.Sprintf("dsp: FFT length mismatch: plan %d, dst %d, src %d", n, len(dst), len(src)))
 	}
+	// The direction only selects which precomputed twiddle table to read;
+	// the butterflies are branch-free.
+	twiddle := f.twiddle
+	if inverse {
+		twiddle = f.twiddleInv
+	}
+	if n == 64 {
+		fft64((*[64]complex128)(dst), (*[64]complex128)(src), (*[32]complex128)(twiddle))
+		return
+	}
+	f.radix2(dst, src, twiddle)
+}
+
+// radix2 is the iterative Cooley-Tukey transform of src into dst with the
+// given twiddle table. It serves every size but 64, and is the oracle fft64
+// is tested against.
+func (f *FFT) radix2(dst, src, twiddle []complex128) {
+	n := f.n
 	// Bit-reversal copy. When dst and src alias we must permute in place.
 	if &dst[0] == &src[0] {
 		for i, j := range f.rev {
@@ -109,12 +136,6 @@ func (f *FFT) transform(dst, src []complex128, inverse bool) {
 		for i, j := range f.rev {
 			dst[i] = src[j]
 		}
-	}
-	// Iterative Cooley-Tukey butterflies. The direction only selects which
-	// precomputed twiddle table to read; the innermost loop is branch-free.
-	twiddle := f.twiddle
-	if inverse {
-		twiddle = f.twiddleInv
 	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1

@@ -117,6 +117,65 @@ func TestFFTInPlace(t *testing.T) {
 	}
 }
 
+// TestFFT64MatchesRadix2 holds the generated 64-point kernel to the radix-2
+// loop bit for bit, forward and inverse, out of place and in place. Besides
+// random vectors it feeds vectors of exact zeros, each component −0 with
+// probability 7/8 and +0 otherwise: skipping any of 40 of the first pass's
+// 48 multiplies by w[0] = 1 flips the sign of some zero bin.
+func TestFFT64MatchesRadix2(t *testing.T) {
+	f := MustFFT(64)
+	r := rand.New(rand.NewSource(7))
+	negZero := math.Copysign(0, -1)
+	signedZero := func() float64 {
+		if r.Intn(8) == 0 {
+			return 0
+		}
+		return negZero
+	}
+	var inputs [][]complex128
+	for v := 0; v < 50; v++ {
+		inputs = append(inputs, randVec(r, 64))
+	}
+	for v := 0; v < 400; v++ {
+		x := make([]complex128, 64)
+		for i := range x {
+			x[i] = complex(signedZero(), signedZero())
+		}
+		inputs = append(inputs, x)
+	}
+	for v, x := range inputs {
+		for _, inverse := range []bool{false, true} {
+			twiddle := f.twiddle
+			if inverse {
+				twiddle = f.twiddleInv
+			}
+			want := make([]complex128, 64)
+			f.radix2(want, x, twiddle)
+			got := make([]complex128, 64)
+			f.transform(got, x, inverse)
+			inPlace := append([]complex128(nil), x...)
+			f.transform(inPlace, inPlace, inverse)
+			if i := firstBitDiff(got, want); i >= 0 {
+				t.Fatalf("input %d inverse=%v dst != src: bin %d = %v, radix-2 loop gives %v", v, inverse, i, got[i], want[i])
+			}
+			if i := firstBitDiff(inPlace, want); i >= 0 {
+				t.Fatalf("input %d inverse=%v dst == src: bin %d = %v, radix-2 loop gives %v", v, inverse, i, inPlace[i], want[i])
+			}
+		}
+	}
+}
+
+// firstBitDiff returns the first index where a and b differ in any bit, or -1.
+func firstBitDiff(a, b []complex128) int {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestFFTParseval(t *testing.T) {
 	f := MustFFT(64)
 	r := rand.New(rand.NewSource(4))

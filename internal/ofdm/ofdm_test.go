@@ -238,3 +238,21 @@ func BenchmarkModulateSymbol(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkSymbolTo(b *testing.B) {
+	r := rand.New(rand.NewSource(6))
+	mod := NewModulator(HTToneMap)
+	sym := make([]complex128, SymbolLen)
+	if err := mod.Symbol(sym, randSyms(r, 52), []complex128{1, 1, 1, -1}); err != nil {
+		b.Fatal(err)
+	}
+	dem := NewDemodulator(HTToneMap)
+	data := make([]complex128, HTToneMap.NumData())
+	pilots := make([]complex128, NumPilots)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := dem.SymbolTo(data, pilots, sym[CPLen:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

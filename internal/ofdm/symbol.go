@@ -132,14 +132,12 @@ func (d *Demodulator) Symbol(sym []complex128, data, pilots []complex128) (dataO
 		return data, pilots, fmt.Errorf("ofdm: symbol length %d, want %d", len(sym), FFTSize)
 	}
 	d.fft.Forward(d.freq, sym)
-	for i := range d.freq {
-		d.freq[i] *= d.scale
-	}
+	// Only the used tones are scaled; the guard and DC bins are dropped.
 	for _, b := range d.tones.Data {
-		data = append(data, d.freq[b])
+		data = append(data, d.freq[b]*d.scale)
 	}
 	for _, b := range d.tones.Pilot {
-		pilots = append(pilots, d.freq[b])
+		pilots = append(pilots, d.freq[b]*d.scale)
 	}
 	return data, pilots, nil
 }
@@ -160,14 +158,11 @@ func (d *Demodulator) SymbolTo(data, pilots, sym []complex128) error {
 			len(data), len(pilots), len(d.tones.Data), len(d.tones.Pilot))
 	}
 	d.fft.Forward(d.freq, sym)
-	for i := range d.freq {
-		d.freq[i] *= d.scale
-	}
 	for i, b := range d.tones.Data {
-		data[i] = d.freq[b]
+		data[i] = d.freq[b] * d.scale
 	}
 	for i, b := range d.tones.Pilot {
-		pilots[i] = d.freq[b]
+		pilots[i] = d.freq[b] * d.scale
 	}
 	return nil
 }

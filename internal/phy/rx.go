@@ -236,7 +236,10 @@ func NewReceiver(cfg RxConfig) (*Receiver, error) {
 
 // Receive synchronizes to and decodes the first PPDU in the streams.
 // rx[a] is the baseband of antenna a; all must be equal length. The samples
-// are modified in place by CFO correction.
+// are modified in place by CFO correction. In preamble sync mode the coarse
+// offset is first removed only from the sync prefix that fine timing and
+// fine CFO read, so a receive that fails before fine CFO leaves only that
+// prefix derotated.
 //
 // With an attached RxObs the call additionally records a stage trace
 // (sync → chanest → demod → detector → viterbi; the caller's FCS check adds
@@ -282,26 +285,33 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	if stfStart < 0 {
 		stfStart = 0
 	}
+	// The LTF's first long symbol begins 192 samples after the STF start;
+	// fine timing searches a generous window [from, to) around the detection
+	// point. Its correlations, and the LTF pair fine CFO reads, end before
+	// syncEnd.
+	from := det.Index - 40
+	to := det.Index + 280
+	syncEnd := to + 2*ofdm.FFTSize
 	var coarse float64
 	if r.cfg.CPMLSync {
 		coarse, err = r.cpmlCFO(rx, det.Index)
 		if err != nil {
 			return nil, fmt.Errorf("phy: CP-ML sync: %w", err)
 		}
+		// CP-ML has no fine stage: one pass derotates the whole capture.
+		synchro.CorrectCFO(rx, coarse)
 	} else {
 		region := subRange(rx, stfStart, stfEnd)
 		coarse, err = synchro.CoarseCFO(region)
 		if err != nil {
 			return nil, fmt.Errorf("phy: coarse CFO: %w", err)
 		}
+		// Only the sync prefix now: FinishCFO derotates the rest of the
+		// capture by both offsets in one pass once fine CFO is known.
+		synchro.CorrectCFOPrefix(rx, coarse, syncEnd)
 	}
-	synchro.CorrectCFO(rx, coarse)
 
 	// --- 2. Fine timing on the L-LTF ------------------------------------
-	// The LTF's first long symbol begins 192 samples after the STF start;
-	// search a generous window around the detection point.
-	from := det.Index - 40
-	to := det.Index + 280
 	ltfStart, err := synchro.FineTiming(rx, from, to)
 	if err != nil {
 		return nil, fmt.Errorf("phy: fine timing: %w", err)
@@ -317,7 +327,7 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 		if err != nil {
 			return nil, fmt.Errorf("phy: fine CFO: %w", err)
 		}
-		synchro.CorrectCFO(rx, fine)
+		synchro.FinishCFO(rx, coarse, fine, syncEnd)
 	}
 	totalCFO := coarse + fine
 

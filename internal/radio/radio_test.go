@@ -6,6 +6,9 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"net"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -210,6 +213,45 @@ func TestUDPTransport(t *testing.T) {
 	}
 	if rx.Lost != 0 {
 		t.Errorf("loopback lost %d datagrams", rx.Lost)
+	}
+}
+
+// TestUDPReceiverAbsorbsBurstBeforeRead sends a whole two-stream burst
+// (about 650 KB of datagrams) before the reader's first read, as happens
+// when the reading goroutine is kept off the CPU. The receive socket buffer
+// must hold all of it. The test needs net.core.rmem_max ≥ 4 MiB, since Linux
+// clamps the buffer request to it.
+func TestUDPReceiverAbsorbsBurstBeforeRead(t *testing.T) {
+	raw, err := os.ReadFile("/proc/sys/net/core/rmem_max")
+	if err != nil {
+		t.Skipf("cannot read the socket buffer ceiling: %v", err)
+	}
+	if ceiling, err := strconv.Atoi(strings.TrimSpace(string(raw))); err != nil || ceiling < udpReadBuffer {
+		t.Skipf("net.core.rmem_max = %s, below the %d-byte buffer request", strings.TrimSpace(string(raw)), udpReadBuffer)
+	}
+	rx, err := NewUDPReceiver("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	tx, err := NewUDPSender(rx.Addr().String(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	burst := randBurst(rand.New(rand.NewSource(9)), 2, 40000)
+	if err := tx.WriteBurst(burst); err != nil {
+		t.Fatal(err)
+	}
+	got, err := rx.ReadBurst(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rx.Lost != 0 {
+		t.Fatalf("lost %d of the burst's datagrams before the first read", rx.Lost)
+	}
+	if !burstsAlmostEqual(got, burst, 1e-6) {
+		t.Error("burst read back differs from the one sent")
 	}
 }
 

@@ -144,6 +144,9 @@ type UDPReceiver struct {
 // stream) so a corrupted sequence number cannot force an absurd allocation.
 const maxGapFill = 1 << 20
 
+// udpReadBuffer is the receive socket buffer NewUDPReceiver requests.
+const udpReadBuffer = 4 << 20
+
 // NewUDPReceiver listens on addr (e.g. "127.0.0.1:0").
 func NewUDPReceiver(addr string) (*UDPReceiver, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
@@ -154,6 +157,12 @@ func NewUDPReceiver(addr string) (*UDPReceiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("radio: listen %q: %w", addr, err)
 	}
+	// A burst arrives as a train of datagrams that can outrun a reader kept
+	// off the CPU, and the default ~208 KB socket buffer holds only part of
+	// a long one. Request 4 MiB, as UHD does for USRP2 sample streams. Linux
+	// clamps the request to net.core.rmem_max, so a host with a lower
+	// ceiling keeps working at that ceiling; the error is dropped.
+	_ = conn.SetReadBuffer(udpReadBuffer)
 	return &UDPReceiver{conn: conn, buf: make([]byte, 65536), clk: clock.System}, nil
 }
 

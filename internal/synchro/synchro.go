@@ -164,12 +164,22 @@ func lagCFO(rx [][]complex128, lag int) (float64, error) {
 // loop; it runs once per sample index and the phasor is applied to every
 // stream in the same pass. Each stream sees the same product chain as a
 // per-stream dsp.Rotate, so the output is bit-identical to it.
+func CorrectCFO(rx [][]complex128, omega float64) {
+	CorrectCFOPrefix(rx, omega, math.MaxInt)
+}
+
+// CorrectCFOPrefix is CorrectCFO on samples [0, end) of every stream; the
+// samples from end on are left as they are.
+//
+// A receiver that derotates twice, coarse then fine, needs the coarse
+// correction only where its fine estimators read, before the fine offset is
+// known. FinishCFO then completes both corrections in one pass.
 //
 //mimonet:hot
-func CorrectCFO(rx [][]complex128, omega float64) {
+func CorrectCFOPrefix(rx [][]complex128, omega float64, end int) {
 	n := 0
 	for _, r := range rx {
-		n = max(n, len(r))
+		n = max(n, min(len(r), end))
 	}
 	rot := cmplx.Exp(0)
 	step := cmplx.Exp(complex(0, -omega))
@@ -180,6 +190,42 @@ func CorrectCFO(rx [][]complex128, omega float64) {
 			}
 		}
 		rot *= step
+	}
+}
+
+// FinishCFO completes the correction CorrectCFOPrefix(rx, coarse, end)
+// began. It derotates samples [0, end) by fine and the rest by coarse, then
+// fine, so every stream ends as CorrectCFO(rx, coarse) followed by
+// CorrectCFO(rx, fine) would leave it, bit for bit: each sample gets the
+// same two products in the same order, and both phasor recurrences advance
+// once per index from phase 0, as in the two full passes.
+//
+//mimonet:hot
+func FinishCFO(rx [][]complex128, coarse, fine float64, end int) {
+	n := 0
+	for _, r := range rx {
+		n = max(n, len(r))
+	}
+	rotC, rotF := cmplx.Exp(0), cmplx.Exp(0)
+	stepC, stepF := cmplx.Exp(complex(0, -coarse)), cmplx.Exp(complex(0, -fine))
+	i := 0
+	for ; i < min(n, end); i++ {
+		for _, r := range rx {
+			if i < len(r) {
+				r[i] *= rotF
+			}
+		}
+		rotC *= stepC
+		rotF *= stepF
+	}
+	for ; i < n; i++ {
+		for _, r := range rx {
+			if i < len(r) {
+				r[i] = r[i] * rotC * rotF
+			}
+		}
+		rotC *= stepC
+		rotF *= stepF
 	}
 }
 

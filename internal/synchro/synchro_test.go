@@ -254,6 +254,50 @@ func TestCorrectCFOMatchesRotate(t *testing.T) {
 	}
 }
 
+// TestFinishCFOMatchesTwoPasses holds the prefix pass plus the fused pass to
+// the two full CorrectCFO passes they replace, coarse then fine, bit for bit.
+// It covers 1–4 streams of unequal length with the prefix ending at 0,
+// inside the streams (possibly past the shorter ones) and past their end.
+func TestFinishCFOMatchesTwoPasses(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 48; trial++ {
+		nrx := 1 + trial%4
+		lens := make([]int, nrx)
+		longest := 0
+		for a := range lens {
+			lens[a] = r.Intn(2000)
+			longest = max(longest, lens[a])
+		}
+		var end int
+		switch trial % 3 {
+		case 1:
+			end = r.Intn(longest + 1)
+		case 2:
+			end = longest + r.Intn(100)
+		}
+		rx := randStreams(r, lens...)
+		coarse := (r.Float64() - 0.5) * 0.4
+		fine := (r.Float64() - 0.5) * 0.05
+		want := make([][]complex128, nrx)
+		for a := range rx {
+			want[a] = append([]complex128(nil), rx[a]...)
+		}
+		CorrectCFO(want, coarse)
+		CorrectCFO(want, fine)
+		CorrectCFOPrefix(rx, coarse, end)
+		FinishCFO(rx, coarse, fine, end)
+		for a := range rx {
+			for i := range rx[a] {
+				if math.Float64bits(real(rx[a][i])) != math.Float64bits(real(want[a][i])) ||
+					math.Float64bits(imag(rx[a][i])) != math.Float64bits(imag(want[a][i])) {
+					t.Fatalf("trial %d (prefix end %d) stream %d sample %d: %v, two passes give %v",
+						trial, end, a, i, rx[a][i], want[a][i])
+				}
+			}
+		}
+	}
+}
+
 // referenceFineTiming is FineTiming's original loop, which correlates both
 // long symbols afresh at every candidate position. It is the oracle for the
 // one-correlation-per-lag schedule.
@@ -348,6 +392,16 @@ func BenchmarkCorrectCFO4RX(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		CorrectCFO(rx, 1e-3)
+	}
+}
+
+// BenchmarkFinishCFO4RX runs the fused coarse+fine pass over the same four
+// streams, past a sync prefix of the receiver's size.
+func BenchmarkFinishCFO4RX(b *testing.B) {
+	rx := randStreams(rand.New(rand.NewSource(10)), 38500, 38500, 38500, 38500)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		FinishCFO(rx, 1e-3, 1e-4, 700)
 	}
 }
 
