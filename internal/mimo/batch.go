@@ -13,15 +13,17 @@ import (
 type DetectScratch struct {
 	s    []complex128 // linear filter output / SIC cancellation residual
 	hard []byte       // SIC per-stage hard-decision bits
-	y32  []complex64  // narrow kernel: single-precision received vector
-	// ML search state: the partial residuals y − Σ_{i≥j} h_i s_i of the
-	// enumerated streams, the per-point metric minima of streams ≥ 1, the
-	// prefix digits, stream 0's per-bit minima, and the best prefix with
-	// its closed-form stream-0 estimate u.
+	// ML enumeration state: the layer residuals y − Σ_{i≥j} h_i s_i of
+	// streams 2…N_SS−1, the per-point metric minima of streams ≥ 1, one
+	// kernel call's metrics, the prefix digits, stream 0's per-bit minima,
+	// and the best metric and prefix with its closed-form stream-0
+	// estimate u.
 	res        []complex128
 	ptMin      []float64
+	cur        []float64
 	digits     []int
 	d0, d1     [6]float64
+	bestMetric float64
 	bestPrefix int
 	bestU      complex128
 }
@@ -40,7 +42,7 @@ type BatchDetector interface {
 }
 
 func (d *linearDetector) NewScratch() *DetectScratch {
-	return &DetectScratch{s: make([]complex128, d.nss), y32: make([]complex64, 8)}
+	return &DetectScratch{s: make([]complex128, d.nss)}
 }
 
 func (d *linearDetector) BitsPerStream() int { return d.demapper.BitsPerSymbol() }
@@ -54,9 +56,6 @@ func (d *linearDetector) DetectTo(sc *DetectScratch, out []float64, k int, y []c
 	if len(out) < d.nss*nb {
 		return fmt.Errorf("mimo: DetectTo out length %d, want %d", len(out), d.nss*nb)
 	}
-	if d.narrow {
-		return d.detectToNarrow(sc, out, k, y)
-	}
 	d.w[k].MulVecInto(sc.s[:d.nss], y)
 	for i := 0; i < d.nss; i++ {
 		d.demapper.SoftTo(out[i*nb:(i+1)*nb], sc.s[i], d.noiseVar, d.csi[k][i])
@@ -65,9 +64,11 @@ func (d *linearDetector) DetectTo(sc *DetectScratch, out []float64, k int, y []c
 }
 
 func (d *mlDetector) NewScratch() *DetectScratch {
+	m := len(d.points)
 	return &DetectScratch{
-		res:    make([]complex128, d.nss*d.nrx),
-		ptMin:  make([]float64, (d.nss-1)*len(d.points)),
+		res:    make([]complex128, max(d.nss-2, 0)*d.nrx),
+		ptMin:  make([]float64, (d.nss-1)*m),
+		cur:    make([]float64, m),
 		digits: make([]int, d.nss),
 	}
 }
@@ -79,7 +80,7 @@ func (d *mlDetector) DetectTo(sc *DetectScratch, out []float64, k int, y []compl
 	if len(out) < d.nss*d.nbpsc {
 		return fmt.Errorf("mimo: DetectTo out length %d, want %d", len(out), d.nss*d.nbpsc)
 	}
-	if err := d.search(sc, k, y); err != nil {
+	if err := d.enumerate(sc, k, y); err != nil {
 		return err
 	}
 	for b := 0; b < d.nbpsc; b++ {
@@ -87,32 +88,23 @@ func (d *mlDetector) DetectTo(sc *DetectScratch, out []float64, k int, y []compl
 	}
 	m := len(d.points)
 	for j := 1; j < d.nss; j++ {
-		pm := sc.ptMin[(j-1)*m : j*m]
-		for b := 0; b < d.nbpsc; b++ {
-			d0, d1 := math.Inf(1), math.Inf(1)
-			for p, v := range pm {
-				if (p>>uint(b))&1 == 0 {
-					d0 = min(d0, v)
-				} else {
-					d1 = min(d1, v)
-				}
-			}
-			out[j*d.nbpsc+b] = (d1 - d0) / d.noiseVar
-		}
+		d.pointBits(out[j*d.nbpsc:(j+1)*d.nbpsc], sc.ptMin[(j-1)*m:j*m])
 	}
 	return nil
 }
 
-// search is the ML kernel shared by Detect, DetectTo and Equalize (see
-// mlDetector). It enumerates the prefixes of streams 1…N_SS−1 as an
-// odometer with stream 1 the fastest digit, keeping the partial residual
-// of each stream layer so a digit change costs one subtraction per
-// antenna. It leaves stream 0's per-bit minima in sc.d0/sc.d1, the
-// per-point minima of streams ≥ 1 in sc.ptMin, and the best prefix with
-// its u in sc.bestPrefix/sc.bestU.
+// enumerate is the ML kernel shared by Detect, DetectTo and Equalize (see
+// mlDetector). Stream 1 is the fastest digit of the prefix: for each
+// setting of streams 2…N_SS−1 the constellation's generated kernel
+// (mlDetector.lord) runs stream 1's points against that setting's layer
+// residual. Streams 2…N_SS−1 advance as an odometer that keeps the partial
+// residual of each layer, so a digit change costs one subtraction per
+// antenna. enumerate leaves stream 0's per-bit minima in sc.d0/sc.d1, the
+// per-point minima of streams ≥ 1 in sc.ptMin, and the first prefix of
+// least metric with its u in sc.bestPrefix/sc.bestU.
 //
 //mimonet:hot
-func (d *mlDetector) search(sc *DetectScratch, k int, y []complex128) error {
+func (d *mlDetector) enumerate(sc *DetectScratch, k int, y []complex128) error {
 	if d.g == nil {
 		return fmt.Errorf("mimo: ml detector used before Prepare")
 	}
@@ -123,105 +115,72 @@ func (d *mlDetector) search(sc *DetectScratch, k int, y []complex128) error {
 	if len(y) < nrx {
 		return fmt.Errorf("mimo: %d received samples, want %d", len(y), nrx)
 	}
-	if len(sc.res) < nss*nrx {
-		sc.res = make([]complex128, nss*nrx)
-	}
-	g := d.g[k]
-	w0 := d.w0[k*nrx : (k+1)*nrx]
-	hs := d.hs[k*(nss-1)*m*nrx : (k+1)*(nss-1)*m*nrx]
-	bitsI, bitsQ := d.nbpsc-d.nbpsc/2, d.nbpsc/2
 	inf := math.Inf(1)
-	d0, d1 := [6]float64{inf, inf, inf, inf, inf, inf}, [6]float64{inf, inf, inf, inf, inf, inf}
+	sc.d0 = [6]float64{inf, inf, inf, inf, inf, inf}
+	sc.d1 = sc.d0
+	sc.bestMetric = inf
+	hs := d.hs[k*(nss-1)*m*nrx : (k+1)*(nss-1)*m*nrx]
+	switch nss {
+	case 1:
+		d.lord(sc, k, y, d.zero, sc.cur[:1], 0)
+		return nil
+	case 2:
+		// Stream 1's per-point minima are the kernel's metrics themselves.
+		d.lord(sc, k, y, hs, sc.ptMin[:m], 0)
+		return nil
+	}
+	if len(sc.res) < (nss-2)*nrx {
+		sc.res = make([]complex128, (nss-2)*nrx)
+	}
+	// Layer j (2…N_SS−1) occupies res[(j−2)·nrx : (j−1)·nrx] and holds
+	// y − Σ_{i≥j} h_i s_i; stream 1's kernel runs on layer 2.
+	res := sc.res[:(nss-2)*nrx]
+	digits := sc.digits[:nss]
 	ptMin := sc.ptMin[:(nss-1)*m]
 	for i := range ptMin {
 		ptMin[i] = inf
 	}
-	digits := sc.digits[:nss]
-	// Layer j (1…nss) occupies res[(j−1)·nrx : j·nrx] and holds
-	// y − Σ_{i≥j} h_i s_i; layer nss is y itself and layer 1 is e.
-	res := sc.res[:nss*nrx]
-	copy(res[(nss-1)*nrx:], y[:nrx])
-	setLayer := func(j int) {
-		lj, above := res[(j-1)*nrx:j*nrx], res[j*nrx:(j+1)*nrx]
-		hp := hs[((j-1)*m+digits[j])*nrx:]
-		for r := range lj {
-			lj[r] = above[r] - hp[r]
-		}
-	}
-	for j := nss - 1; j >= 1; j-- {
-		digits[j] = 0
-		setLayer(j)
-	}
-	bestMetric := inf
-	for pfx := 0; ; pfx++ {
-		var ee float64
-		var u complex128
-		for r, v := range res[:nrx] {
-			ee += real(v)*real(v) + imag(v)*imag(v)
-			u += w0[r] * v
-		}
-		c := ee - g*(real(u)*real(u)+imag(u)*imag(u))
-		var mI0, mI1, mQ0, mQ1 [3]float64
-		minI := axisMins(d.levI, real(u), mI0[:bitsI], mI1[:bitsI])
-		minQ := axisMins(d.levQ, imag(u), mQ0[:bitsQ], mQ1[:bitsQ])
-		best := c + g*(minI+minQ)
-		for b := 0; b < bitsI; b++ {
-			d0[b] = min(d0[b], c+g*(mI0[b]+minQ))
-			d1[b] = min(d1[b], c+g*(mI1[b]+minQ))
-		}
-		for b := 0; b < bitsQ; b++ {
-			d0[bitsI+b] = min(d0[bitsI+b], c+g*(minI+mQ0[b]))
-			d1[bitsI+b] = min(d1[bitsI+b], c+g*(minI+mQ1[b]))
-		}
-		for j := 1; j < nss; j++ {
-			if p := &ptMin[(j-1)*m+digits[j]]; best < *p {
-				*p = best
+	cur := sc.cur[:m]
+	clear(digits)
+	for outer, j := 0, nss-1; ; outer++ {
+		// Rebuild the layers below the highest digit that moved.
+		for ; j >= 2; j-- {
+			above := y[:nrx]
+			if j < nss-1 {
+				above = res[(j-1)*nrx : j*nrx]
+			}
+			layer, hp := res[(j-2)*nrx:(j-1)*nrx], hs[((j-1)*m+digits[j])*nrx:]
+			for r := range layer {
+				layer[r] = above[r] - hp[r]
 			}
 		}
-		if best < bestMetric {
-			bestMetric, sc.bestPrefix, sc.bestU = best, pfx, u
+		d.lord(sc, k, res[:nrx], hs[:m*nrx], cur, outer*m)
+		// Fold the setting's metrics into the per-point minima: stream 1
+		// point by point, streams ≥ 2 at their fixed digit.
+		least := inf
+		for p, v := range cur {
+			if v < ptMin[p] {
+				ptMin[p] = v
+			}
+			if v < least {
+				least = v
+			}
 		}
-		// Advance the odometer and rebuild the layers below the highest
-		// digit that moved.
-		j := 1
-		for ; j < nss; j++ {
+		for j := 2; j < nss; j++ {
+			if p := &ptMin[(j-1)*m+digits[j]]; least < *p {
+				*p = least
+			}
+		}
+		for j = 2; j < nss; j++ {
 			if digits[j]++; digits[j] < m {
 				break
 			}
 			digits[j] = 0
 		}
 		if j == nss {
-			break
-		}
-		for ; j >= 1; j-- {
-			setLayer(j)
+			return nil
 		}
 	}
-	sc.d0, sc.d1 = d0, d1
-	return nil
-}
-
-// axisMins returns the smallest squared distance from v to the PAM levels
-// of one axis and writes, for each axis bit b, the smallest distance over
-// levels whose index has bit b clear (m0[b]) or set (m1[b]).
-func axisMins(levels []float64, v float64, m0, m1 []float64) float64 {
-	inf := math.Inf(1)
-	for b := range m0 {
-		m0[b], m1[b] = inf, inf
-	}
-	best := inf
-	for pat, lv := range levels {
-		dd := (v - lv) * (v - lv)
-		best = min(best, dd)
-		for b := range m0 {
-			if (pat>>uint(b))&1 == 0 {
-				m0[b] = min(m0[b], dd)
-			} else {
-				m1[b] = min(m1[b], dd)
-			}
-		}
-	}
-	return best
 }
 
 func (d *sicDetector) NewScratch() *DetectScratch {

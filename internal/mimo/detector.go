@@ -46,13 +46,6 @@ type linearDetector struct {
 	sbuf []complex128
 	// Prepare scratch, reused across calls.
 	hh, gram, gi, work, bias *cmatrix.Matrix
-	// Opt-in single-precision DetectTo kernel (see narrow.go). w32 holds the
-	// unbiased weights flattened [k][i][j] row-major; csi32 is [k][i].
-	narrow     bool
-	w32        []complex64
-	csi32      []float32
-	noiseVar32 float32
-	nrx32      int
 }
 
 // NewZF returns a zero-forcing detector (W = (HᴴH)⁻¹Hᴴ) for nss streams of
@@ -159,9 +152,6 @@ func (d *linearDetector) Prepare(h []*cmatrix.Matrix, noiseVar float64) error {
 		d.w[k] = w
 		d.csi[k] = csi
 	}
-	if d.narrow {
-		d.buildNarrow()
-	}
 	return nil
 }
 
@@ -217,6 +207,9 @@ func (d *linearDetector) Equalize(dst []complex128, k int, y []complex128) error
 // per tone instead of M^N_SS·N_SS·N_RX. A dead column (g = 0) sets u = 0,
 // which makes stream 0's LLRs exactly zero.
 //
+// The per-point work runs in straight-line kernels generated per
+// constellation (lord_gen.go, written by internal/lordgen).
+//
 // Construction rejects joint constellations beyond 2^16 hypotheses.
 type mlDetector struct {
 	nss      int
@@ -232,14 +225,22 @@ type mlDetector struct {
 	g  []float64
 	w0 []complex128
 	hs []complex128
+	// zero stands in for stream 1's products when N_SS = 1: one hypothesis
+	// whose residual is y itself (y − 0 is exact).
+	zero []complex128
 	// Detect and Equalize run on the detector's own scratch.
 	sc  *DetectScratch
 	out []float64
 }
 
+//go:generate go run ./internal/lordgen
+
 // NewML returns a maximum-likelihood joint detector, or an error when the
 // joint constellation exceeds 2^16 hypotheses.
 func NewML(scheme modem.Scheme, nss int) (Detector, error) {
+	if err := checkStreams(nss); err != nil {
+		return nil, err
+	}
 	nbpsc := scheme.BitsPerSymbol()
 	total := nss * nbpsc
 	if total > 16 {
@@ -310,6 +311,8 @@ func (d *mlDetector) Prepare(h []*cmatrix.Matrix, noiseVar float64) error {
 			}
 		}
 	}
+	d.zero = resize(d.zero, nrx)
+	d.sc.res = resize(d.sc.res, max(d.nss-2, 0)*nrx)
 	d.nrx = nrx
 	d.noiseVar = noiseVar
 	return nil
@@ -343,7 +346,7 @@ func (d *mlDetector) Equalize(dst []complex128, k int, y []complex128) error {
 	if len(dst) != d.nss {
 		return fmt.Errorf("mimo: Equalize dst length %d, want %d", len(dst), d.nss)
 	}
-	if err := d.search(d.sc, k, y); err != nil {
+	if err := d.enumerate(d.sc, k, y); err != nil {
 		return err
 	}
 	sc := d.sc
@@ -370,8 +373,20 @@ func nearestLevel(levels []float64, v float64) int {
 	return best
 }
 
-// NewDetector constructs a detector by name: "zf", "mmse", "sic" or "ml".
+// checkStreams rejects a stream count outside 802.11n's 1…4.
+func checkStreams(nss int) error {
+	if nss < 1 || nss > 4 {
+		return fmt.Errorf("mimo: %d spatial streams outside 1…4", nss)
+	}
+	return nil
+}
+
+// NewDetector constructs a detector by name: "zf", "mmse", "sic" or "ml",
+// for 1…4 streams.
 func NewDetector(name string, scheme modem.Scheme, nss int) (Detector, error) {
+	if err := checkStreams(nss); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "zf":
 		return NewZF(scheme, nss), nil

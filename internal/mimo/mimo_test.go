@@ -356,27 +356,69 @@ func BenchmarkZFDetect2x2QAM64(b *testing.B) {
 
 func BenchmarkMLDetect2x2QPSK(b *testing.B)  { benchML(b, modem.QPSK) }
 func BenchmarkMLDetect2x2QAM16(b *testing.B) { benchML(b, modem.QAM16) }
+func BenchmarkMLDetect2x2QAM64(b *testing.B) { benchMLShape(b, modem.QAM64, 2) }
+func BenchmarkMLDetect3x3QAM16(b *testing.B) { benchMLShape(b, modem.QAM16, 3) }
 
 // benchML times one ML Detect call on a random 2×2 tone.
-func benchML(b *testing.B, scheme modem.Scheme) {
+func benchML(b *testing.B, scheme modem.Scheme) { benchMLShape(b, scheme, 2) }
+
+// benchMLShape times one ML Detect call on a random n×n tone.
+func benchMLShape(b *testing.B, scheme modem.Scheme, n int) {
 	r := rand.New(rand.NewSource(7))
-	d, err := NewML(scheme, 2)
+	d, err := NewML(scheme, n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	h := []*cmatrix.Matrix{randChannel(r, 2, 2)}
+	h := []*cmatrix.Matrix{randChannel(r, n, n)}
 	if err := d.Prepare(h, 0.01); err != nil {
 		b.Fatal(err)
 	}
-	y := []complex128{complex(r.NormFloat64(), r.NormFloat64()), complex(r.NormFloat64(), r.NormFloat64())}
-	llr := make([][]float64, 2)
+	y := make([]complex128, n)
+	for i := range y {
+		y[i] = complex(r.NormFloat64(), r.NormFloat64())
+	}
+	llr := make([][]float64, n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		llr[0], llr[1] = llr[0][:0], llr[1][:0]
+		for s := range llr {
+			llr[s] = llr[s][:0]
+		}
 		if _, err := d.Detect(llr, 0, y); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMLDetectTo52Tones times the batched receive path's call: DetectTo
+// with a worker scratch over the 52 data tones of one prepared 2×2 16-QAM
+// channel, the rx-mcs12-2x2-ml shape. It reports ns per tone.
+func BenchmarkMLDetectTo52Tones(b *testing.B) {
+	r := rand.New(rand.NewSource(8))
+	det, err := NewML(modem.QAM16, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := randChannels(r, 52, 2, 2)
+	if err := det.Prepare(h, 0.01); err != nil {
+		b.Fatal(err)
+	}
+	bd := det.(BatchDetector)
+	sc := bd.NewScratch()
+	out := make([]float64, 2*bd.BitsPerStream())
+	y := make([][]complex128, len(h))
+	for k := range y {
+		y[k] = []complex128{complex(r.NormFloat64(), r.NormFloat64()), complex(r.NormFloat64(), r.NormFloat64())}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, yk := range y {
+			if err := bd.DetectTo(sc, out, k, yk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(y)), "ns/tone")
 }
 
 // exhaustiveML is the reference joint ML detector: it searches all M^N_SS
@@ -531,37 +573,68 @@ func TestMLMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestMLSteadyStateAllocFree pins the ML detector's steady state: once
-// sized by a first packet, Prepare, Detect and DetectTo allocate nothing.
+// TestMLSteadyStateAllocFree pins the ML detector's allocation contract for
+// one shape per generated kernel: once Prepare has sized a detector, its
+// first Equalize and Detect allocate nothing, and neither do a repeated
+// Prepare or DetectTo on a worker scratch.
 func TestMLSteadyStateAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
-	det, err := NewML(modem.QAM16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bd := det.(BatchDetector)
-	h := randChannels(r, 52, 2, 2)
-	if err := det.Prepare(h, 0.05); err != nil {
-		t.Fatal(err)
-	}
-	sc := bd.NewScratch()
-	out := make([]float64, 2*bd.BitsPerStream())
-	llr := [][]float64{make([]float64, 0, 4), make([]float64, 0, 4)}
-	y := []complex128{complex(r.NormFloat64(), r.NormFloat64()), complex(r.NormFloat64(), r.NormFloat64())}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := det.Prepare(h, 0.05); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		scheme   modem.Scheme
+		nss, nrx int
+	}{
+		{modem.BPSK, 1, 2}, {modem.QPSK, 2, 2}, {modem.QAM16, 2, 2}, {modem.QAM16, 3, 3}, {modem.QAM64, 2, 2},
+	} {
+		const runs = 10
+		h := randChannels(r, 52, c.nrx, c.nss)
+		// AllocsPerRun makes one warm-up call before it measures, so every
+		// call gets a fresh detector: each Equalize is its detector's first.
+		dets := make([]Detector, runs+1)
+		for i := range dets {
+			det, err := NewML(c.scheme, c.nss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := det.Prepare(h, 0.05); err != nil {
+				t.Fatal(err)
+			}
+			dets[i] = det
 		}
-		if err := bd.DetectTo(sc, out, 7, y); err != nil {
-			t.Fatal(err)
+		sc := dets[0].(BatchDetector).NewScratch()
+		nb := c.scheme.BitsPerSymbol()
+		out := make([]float64, c.nss*nb)
+		eq := make([]complex128, c.nss)
+		llr := make([][]float64, c.nss)
+		for i := range llr {
+			llr[i] = make([]float64, 0, nb)
 		}
-		llr[0], llr[1] = llr[0][:0], llr[1][:0]
-		if _, err := det.Detect(llr, 7, y); err != nil {
-			t.Fatal(err)
+		y := make([]complex128, c.nrx)
+		for i := range y {
+			y[i] = complex(r.NormFloat64(), r.NormFloat64())
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Prepare+DetectTo+Detect: %v allocs, want 0", allocs)
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			det := dets[next]
+			next++
+			if err := det.Equalize(eq, 7, y); err != nil {
+				t.Fatal(err)
+			}
+			for i := range llr {
+				llr[i] = llr[i][:0]
+			}
+			if _, err := det.Detect(llr, 7, y); err != nil {
+				t.Fatal(err)
+			}
+			if err := det.Prepare(h, 0.05); err != nil {
+				t.Fatal(err)
+			}
+			if err := det.(BatchDetector).DetectTo(sc, out, 7, y); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v %dx%d: first Equalize+Detect, Prepare, DetectTo: %v allocs, want 0", c.scheme, c.nrx, c.nss, allocs)
+		}
 	}
 }
 
@@ -630,57 +703,269 @@ func TestDetectToMatchesDetect(t *testing.T) {
 	}
 }
 
-// TestNarrowKernelClose checks the float32 linear kernel stays within
-// single-precision rounding of the double-precision LLRs.
-func TestNarrowKernelClose(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for _, name := range []string{"zf", "mmse"} {
-		for _, scheme := range []modem.Scheme{modem.BPSK, modem.QAM64} {
-			det, err := NewDetector(name, scheme, 2)
-			if err != nil {
-				t.Fatal(err)
+// referenceSearch is the ML enumeration the generated kernels replaced,
+// kept as their bit-exact oracle. It enumerates the prefixes of streams
+// 1…N_SS−1 as an odometer with stream 1 the fastest digit, keeping the
+// partial residual of each stream layer so a digit change costs one
+// subtraction per antenna. It leaves stream 0's per-bit minima in
+// sc.d0/sc.d1, the per-point minima of streams ≥ 1 in sc.ptMin, and the
+// best prefix with its u in sc.bestPrefix/sc.bestU.
+func referenceSearch(d *mlDetector, sc *DetectScratch, k int, y []complex128) {
+	nrx, nss, m := d.nrx, d.nss, len(d.points)
+	if len(sc.res) < nss*nrx {
+		sc.res = make([]complex128, nss*nrx)
+	}
+	g := d.g[k]
+	w0 := d.w0[k*nrx : (k+1)*nrx]
+	hs := d.hs[k*(nss-1)*m*nrx : (k+1)*(nss-1)*m*nrx]
+	bitsI, bitsQ := d.nbpsc-d.nbpsc/2, d.nbpsc/2
+	inf := math.Inf(1)
+	d0, d1 := [6]float64{inf, inf, inf, inf, inf, inf}, [6]float64{inf, inf, inf, inf, inf, inf}
+	ptMin := sc.ptMin[:(nss-1)*m]
+	for i := range ptMin {
+		ptMin[i] = inf
+	}
+	digits := sc.digits[:nss]
+	// Layer j (1…nss) occupies res[(j−1)·nrx : j·nrx] and holds
+	// y − Σ_{i≥j} h_i s_i; layer nss is y itself and layer 1 is e.
+	res := sc.res[:nss*nrx]
+	copy(res[(nss-1)*nrx:], y[:nrx])
+	setLayer := func(j int) {
+		lj, above := res[(j-1)*nrx:j*nrx], res[j*nrx:(j+1)*nrx]
+		hp := hs[((j-1)*m+digits[j])*nrx:]
+		for r := range lj {
+			lj[r] = above[r] - hp[r]
+		}
+	}
+	for j := nss - 1; j >= 1; j-- {
+		digits[j] = 0
+		setLayer(j)
+	}
+	bestMetric := inf
+	for pfx := 0; ; pfx++ {
+		var ee float64
+		var u complex128
+		for r, v := range res[:nrx] {
+			ee += real(v)*real(v) + imag(v)*imag(v)
+			u += w0[r] * v
+		}
+		c := ee - g*(real(u)*real(u)+imag(u)*imag(u))
+		var mI0, mI1, mQ0, mQ1 [3]float64
+		minI := referenceAxisMins(d.levI, real(u), mI0[:bitsI], mI1[:bitsI])
+		minQ := referenceAxisMins(d.levQ, imag(u), mQ0[:bitsQ], mQ1[:bitsQ])
+		best := c + g*(minI+minQ)
+		for b := 0; b < bitsI; b++ {
+			d0[b] = min(d0[b], c+g*(mI0[b]+minQ))
+			d1[b] = min(d1[b], c+g*(mI1[b]+minQ))
+		}
+		for b := 0; b < bitsQ; b++ {
+			d0[bitsI+b] = min(d0[bitsI+b], c+g*(minI+mQ0[b]))
+			d1[bitsI+b] = min(d1[bitsI+b], c+g*(minI+mQ1[b]))
+		}
+		for j := 1; j < nss; j++ {
+			if p := &ptMin[(j-1)*m+digits[j]]; best < *p {
+				*p = best
 			}
-			bd := det.(BatchDetector)
-			nw, ok := det.(Narrowable)
-			if !ok {
-				t.Fatalf("%s detector is not Narrowable", name)
+		}
+		if best < bestMetric {
+			bestMetric, sc.bestPrefix, sc.bestU = best, pfx, u
+		}
+		// Advance the odometer and rebuild the layers below the highest
+		// digit that moved.
+		j := 1
+		for ; j < nss; j++ {
+			if digits[j]++; digits[j] < m {
+				break
 			}
-			h := randChannels(r, 8, 3, 2)
-			if err := det.Prepare(h, 0.05); err != nil {
-				t.Fatal(err)
+			digits[j] = 0
+		}
+		if j == nss {
+			break
+		}
+		for ; j >= 1; j-- {
+			setLayer(j)
+		}
+	}
+	sc.d0, sc.d1 = d0, d1
+}
+
+// referenceAxisMins returns the smallest squared distance from v to the
+// PAM levels of one axis and writes, for each axis bit b, the smallest
+// distance over levels whose index has bit b clear (m0[b]) or set (m1[b]).
+func referenceAxisMins(levels []float64, v float64, m0, m1 []float64) float64 {
+	inf := math.Inf(1)
+	for b := range m0 {
+		m0[b], m1[b] = inf, inf
+	}
+	best := inf
+	for pat, lv := range levels {
+		dd := (v - lv) * (v - lv)
+		best = min(best, dd)
+		for b := range m0 {
+			if (pat>>uint(b))&1 == 0 {
+				m0[b] = min(m0[b], dd)
+			} else {
+				m1[b] = min(m1[b], dd)
 			}
-			nb := bd.BitsPerStream()
-			wide := make([]float64, 2*nb)
-			narrow := make([]float64, 2*nb)
-			sc := bd.NewScratch()
-			y := make([]complex128, 3)
-			for k := range h {
-				for i := range y {
-					y[i] = complex(r.NormFloat64(), r.NormFloat64())
+		}
+	}
+	return best
+}
+
+// referenceLLRs turns referenceSearch's minima into the stream-major LLRs
+// DetectTo writes.
+func referenceLLRs(d *mlDetector, sc *DetectScratch, out []float64) {
+	for b := 0; b < d.nbpsc; b++ {
+		out[b] = (sc.d1[b] - sc.d0[b]) / d.noiseVar
+	}
+	m := len(d.points)
+	for j := 1; j < d.nss; j++ {
+		pm := sc.ptMin[(j-1)*m : j*m]
+		for b := 0; b < d.nbpsc; b++ {
+			d0, d1 := math.Inf(1), math.Inf(1)
+			for p, v := range pm {
+				if (p>>uint(b))&1 == 0 {
+					d0 = min(d0, v)
+				} else {
+					d1 = min(d1, v)
 				}
-				if err := bd.DetectTo(sc, wide, k, y); err != nil {
+			}
+			out[j*d.nbpsc+b] = (d1 - d0) / d.noiseVar
+		}
+	}
+}
+
+// referenceEqualize turns referenceSearch's best prefix and u into the hard
+// decisions Equalize writes.
+func referenceEqualize(d *mlDetector, sc *DetectScratch, dst []complex128) {
+	m := len(d.points)
+	rem := sc.bestPrefix
+	for j := 1; j < d.nss; j++ {
+		dst[j] = d.points[rem%m]
+		rem /= m
+	}
+	iPat := nearestLevel(d.levI, real(sc.bestU))
+	qPat := nearestLevel(d.levQ, imag(sc.bestU))
+	dst[0] = d.points[iPat|qPat<<uint(d.nbpsc-d.nbpsc/2)]
+}
+
+// TestLORDMatchesReference pins the generated kernels to referenceSearch bit
+// for bit over every shape NewML accepts (BPSK…64-QAM, N_SS 1–4, N_RX 1–4):
+// LLRs under math.Float64bits, the best prefix, its u and Equalize's
+// decisions. Each shape runs random noisy tones, noiseless tones y = H·x,
+// tones with y = 0 (every prefix ties exactly with its negation, so the
+// strict < tie-break decides the best prefix), and a channel with a dead
+// column.
+func TestLORDMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	ties := 0
+	for _, scheme := range []modem.Scheme{modem.BPSK, modem.QPSK, modem.QAM16, modem.QAM64} {
+		nbpsc := scheme.BitsPerSymbol()
+		for nss := 1; nss <= 4 && nss*nbpsc <= 16; nss++ {
+			for nrx := 1; nrx <= 4; nrx++ {
+				det, err := NewML(scheme, nss)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := nw.SetNarrow(true); err != nil {
+				d := det.(*mlDetector)
+				h := randChannels(r, 4, nrx, nss)
+				dead := h[len(h)-1]
+				col := r.Intn(nss)
+				for row := 0; row < nrx; row++ {
+					dead.Set(row, col, 0)
+				}
+				const noiseVar = 0.1
+				if err := d.Prepare(h, noiseVar); err != nil {
 					t.Fatal(err)
 				}
-				if err := bd.DetectTo(sc, narrow, k, y); err != nil {
-					t.Fatal(err)
-				}
-				if err := nw.SetNarrow(false); err != nil {
-					t.Fatal(err)
-				}
-				for i := range wide {
-					scale := math.Abs(wide[i])
-					if scale < 1 {
-						scale = 1
+				sc, ref := d.NewScratch(), d.NewScratch()
+				got, want := make([]float64, nss*nbpsc), make([]float64, nss*nbpsc)
+				eqGot, eqWant := make([]complex128, nss), make([]complex128, nss)
+				x := make([]complex128, nss)
+				for k, hk := range h {
+					for trial := 0; trial < 6; trial++ {
+						for i := range x {
+							x[i] = d.points[r.Intn(len(d.points))]
+						}
+						y := hk.MulVec(x)
+						switch trial {
+						case 0:
+							y = make([]complex128, nrx)
+						case 1:
+							// noiseless
+						default:
+							for i := range y {
+								y[i] += complex(r.NormFloat64(), r.NormFloat64()) * complex(math.Sqrt(noiseVar/2), 0)
+							}
+						}
+						name := fmt.Sprintf("%v nss=%d nrx=%d k=%d trial=%d", scheme, nss, nrx, k, trial)
+						if err := d.DetectTo(sc, got, k, y); err != nil {
+							t.Fatal(err)
+						}
+						referenceSearch(d, ref, k, y)
+						referenceLLRs(d, ref, want)
+						for i := range want {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("%s llr[%d]: kernel %v, reference %v", name, i, got[i], want[i])
+							}
+						}
+						if sc.bestPrefix != ref.bestPrefix {
+							t.Fatalf("%s: best prefix %d, reference %d", name, sc.bestPrefix, ref.bestPrefix)
+						}
+						if math.Float64bits(real(sc.bestU)) != math.Float64bits(real(ref.bestU)) ||
+							math.Float64bits(imag(sc.bestU)) != math.Float64bits(imag(ref.bestU)) {
+							t.Fatalf("%s: u %v, reference %v", name, sc.bestU, ref.bestU)
+						}
+						if err := d.Equalize(eqGot, k, y); err != nil {
+							t.Fatal(err)
+						}
+						referenceEqualize(d, ref, eqWant)
+						for i := range eqWant {
+							if eqGot[i] != eqWant[i] {
+								t.Fatalf("%s: Equalize stream %d = %v, reference %v", name, i, eqGot[i], eqWant[i])
+							}
+						}
+						if trial == 0 && nss == 2 && hk != dead {
+							ties += countMinima(ref.ptMin[:len(d.points)]) - 1
+						}
 					}
-					if diff := math.Abs(wide[i] - narrow[i]); diff/scale > 1e-3 {
-						t.Fatalf("%s/%v k=%d llr[%d]: narrow %v vs wide %v (rel %v)",
-							name, scheme, k, i, narrow[i], wide[i], diff/scale)
-					}
 				}
 			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no y = 0 tone produced a tied best metric")
+	}
+}
+
+// countMinima returns how many entries of v equal its minimum.
+func countMinima(v []float64) int {
+	lo, n := math.Inf(1), 0
+	for _, x := range v {
+		switch {
+		case x < lo:
+			lo, n = x, 1
+		case x == lo:
+			n++
+		}
+	}
+	return n
+}
+
+// TestNewDetectorRejectsStreamCount checks that every detector constructor
+// reached by name, and NewML directly, return an error rather than panic
+// for a stream count outside 1…4.
+func TestNewDetectorRejectsStreamCount(t *testing.T) {
+	for _, name := range []string{"zf", "mmse", "sic", "ml"} {
+		for _, nss := range []int{0, -1, 5} {
+			if _, err := NewDetector(name, modem.QPSK, nss); err == nil {
+				t.Errorf("NewDetector(%q, QPSK, %d): no error", name, nss)
+			}
+		}
+	}
+	for _, nss := range []int{0, -1, 5} {
+		if _, err := NewML(modem.BPSK, nss); err == nil {
+			t.Errorf("NewML(BPSK, %d): no error", nss)
 		}
 	}
 }

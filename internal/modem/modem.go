@@ -190,6 +190,12 @@ func NewDemapper(s Scheme) *Demapper {
 	return d
 }
 
+// BitsPerSymbol returns N_BPSC for the demapper's constellation.
+func (d *Demapper) BitsPerSymbol() int { return d.nbpsc }
+
+// Scheme returns the demapper's constellation.
+func (d *Demapper) Scheme() Scheme { return d.scheme }
+
 // HardOne slices one symbol to the nearest constellation point's bits,
 // appended to dst.
 func (d *Demapper) HardOne(dst []byte, sym complex128) []byte {

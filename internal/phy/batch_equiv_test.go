@@ -121,30 +121,3 @@ func TestBatchMatchesScalarAllMCS(t *testing.T) {
 		}
 	}
 }
-
-// TestNarrowDetectEndToEnd is the precision-equivalence check for the opt-in
-// float32 detection kernel: across MCS orders up to 64-QAM the narrowed
-// receiver must decode the identical PSDU as the double-precision chain. LLR
-// magnitudes may differ in low-order bits, so the contract is decode-level,
-// backed by the kernel-level closeness test in internal/mimo.
-func TestNarrowDetectEndToEnd(t *testing.T) {
-	for _, mcsIdx := range []int{0, 5, 7, 12, 15} {
-		rxs, psdu, nrx := makeBurst(t, mcsIdx, 200, int64(40+mcsIdx))
-		for _, det := range []string{"zf", "mmse"} {
-			wide, werr, _ := runChain(t, rxs, RxConfig{NumAntennas: nrx, Detector: det})
-			if werr != nil {
-				t.Fatalf("mcs%d/%s wide: %v", mcsIdx, det, werr)
-			}
-			narrow, nerr, _ := runChain(t, rxs, RxConfig{NumAntennas: nrx, Detector: det, NarrowDetect: true})
-			if nerr != nil {
-				t.Fatalf("mcs%d/%s narrow: %v", mcsIdx, det, nerr)
-			}
-			if !bytes.Equal(wide.PSDU, narrow.PSDU) || !bytes.Equal(narrow.PSDU, psdu) {
-				t.Errorf("mcs%d/%s: narrow kernel changed the decode", mcsIdx, det)
-			}
-		}
-	}
-	if _, err := NewReceiver(RxConfig{NumAntennas: 2, Detector: "sic", NarrowDetect: true}); err == nil {
-		t.Error("NarrowDetect with a non-linear detector should be rejected")
-	}
-}

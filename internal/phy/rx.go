@@ -76,11 +76,6 @@ type RxConfig struct {
 	// chain automatically when a feature requires it (decision-directed
 	// channel tracking, flight-evidence capture).
 	ScalarChain bool
-	// NarrowDetect opts in to the single-precision linear detection kernel
-	// on the batched path (zf/mmse only): weights and demap run in
-	// complex64/float32, LLRs widen only at the decoder boundary. The
-	// scalar chain and every Prepare stay in double precision.
-	NarrowDetect bool
 }
 
 // RxResult reports one decoded packet.
@@ -221,9 +216,6 @@ func NewReceiver(cfg RxConfig) (*Receiver, error) {
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("phy: worker count %d is negative", cfg.Workers)
-	}
-	if cfg.NarrowDetect && cfg.Detector != "zf" && cfg.Detector != "mmse" {
-		return nil, fmt.Errorf("phy: narrow detection kernel requires a linear detector, not %q", cfg.Detector)
 	}
 	return &Receiver{
 		cfg:    cfg,
@@ -463,15 +455,6 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 		d, derr := mimo.NewDetector(r.cfg.Detector, mcs.Scheme, mcs.NSS)
 		if derr != nil {
 			return result, derr
-		}
-		if r.cfg.NarrowDetect {
-			nw, ok := d.(mimo.Narrowable)
-			if !ok {
-				return result, fmt.Errorf("phy: %s detector has no narrow kernel", r.cfg.Detector)
-			}
-			if nerr := nw.SetNarrow(true); nerr != nil {
-				return result, nerr
-			}
 		}
 		r.det, r.detScheme, r.detNSS = d, mcs.Scheme, mcs.NSS
 	}
