@@ -28,24 +28,26 @@ type DetectScratch struct {
 	bestU      complex128
 }
 
-// BatchDetector is implemented by every detector family. DetectTo is the
-// scratch-explicit form of Detect used by the sharded batch pipeline: it
-// writes the N_SS·N_BPSCS LLRs of subcarrier k stream-major into
-// out[iss·N_BPSCS+b], producing values bit-identical to Detect's appends.
-type BatchDetector interface {
-	Detector
-	// NewScratch returns scratch sized for this detector's configuration.
-	NewScratch() *DetectScratch
-	// BitsPerStream returns N_BPSCS, the per-stream LLR count of DetectTo.
-	BitsPerStream() int
-	DetectTo(sc *DetectScratch, out []float64, k int, y []complex128) error
+// detectAppend is Detect for every family: DetectTo on the detector's own
+// scratch sc into out (N_SS·N_BPSCS long), then each stream's N_BPSCS LLRs
+// appended to llr[iss].
+func detectAppend(d Detector, sc *DetectScratch, out []float64, nss int, llr [][]float64, k int, y []complex128) ([][]float64, error) {
+	if len(llr) != nss {
+		return llr, fmt.Errorf("mimo: %d LLR streams, want %d", len(llr), nss)
+	}
+	if err := d.DetectTo(sc, out, k, y); err != nil {
+		return llr, err
+	}
+	nb := len(out) / nss
+	for i := range llr {
+		llr[i] = append(llr[i], out[i*nb:(i+1)*nb]...)
+	}
+	return llr, nil
 }
 
 func (d *linearDetector) NewScratch() *DetectScratch {
 	return &DetectScratch{s: make([]complex128, d.nss)}
 }
-
-func (d *linearDetector) BitsPerStream() int { return d.demapper.BitsPerSymbol() }
 
 //mimonet:hot
 func (d *linearDetector) DetectTo(sc *DetectScratch, out []float64, k int, y []complex128) error {
@@ -72,8 +74,6 @@ func (d *mlDetector) NewScratch() *DetectScratch {
 		digits: make([]int, d.nss),
 	}
 }
-
-func (d *mlDetector) BitsPerStream() int { return d.nbpsc }
 
 //mimonet:hot
 func (d *mlDetector) DetectTo(sc *DetectScratch, out []float64, k int, y []complex128) error {
@@ -190,8 +190,6 @@ func (d *sicDetector) NewScratch() *DetectScratch {
 	}
 }
 
-func (d *sicDetector) BitsPerStream() int { return d.demapper.BitsPerSymbol() }
-
 //mimonet:hot
 func (d *sicDetector) DetectTo(sc *DetectScratch, out []float64, k int, y []complex128) error {
 	if d.plans == nil {
@@ -216,8 +214,7 @@ func (d *sicDetector) DetectTo(sc *DetectScratch, out []float64, k int, y []comp
 			s += w * resid[j]
 		}
 		d.demapper.SoftTo(out[stream*nb:(stream+1)*nb], s, d.noiseVar, plan.csi[stage])
-		// Hard decision, reconstruct and cancel from the residual, exactly
-		// as in Detect.
+		// Hard decision, reconstruct and cancel from the residual.
 		sc.hard = d.demapper.HardOne(sc.hard[:0], s)
 		point := d.mapper.MapOne(sc.hard)
 		for r := 0; r < plan.h.Rows; r++ {

@@ -14,15 +14,22 @@ import (
 // The lifecycle mirrors a real receiver: Prepare is called once per packet
 // with the channel estimate for every data subcarrier (the channel is
 // assumed static over a packet, as in the paper's indoor setting), then
-// Detect runs per subcarrier per OFDM symbol. Implementations precompute
-// per-subcarrier weights in Prepare so Detect stays cheap.
+// detection runs per subcarrier per OFDM symbol. Implementations precompute
+// per-subcarrier weights in Prepare so detection stays cheap.
 //
-// Detect appends N_BPSCS log-likelihood ratios for each spatial stream to
-// llr[iss] and returns the extended slices. Equalize writes the per-stream
-// symbol estimates for EVM and SNR measurement.
+// DetectTo writes the N_SS·N_BPSCS log-likelihood ratios of subcarrier k
+// stream-major into out[iss·N_BPSCS+b]. Its mutable state lives in sc, so
+// one prepared detector serves many goroutines, each with its own
+// NewScratch. Detect is DetectTo on the detector's own scratch: it appends
+// each stream's N_BPSCS LLRs to llr[iss] and returns the extended slices.
+// Equalize writes the per-stream symbol estimates for EVM and SNR
+// measurement. Detect and Equalize are single-goroutine.
 type Detector interface {
 	Name() string
 	Prepare(h []*cmatrix.Matrix, noiseVar float64) error
+	// NewScratch returns scratch sized for this detector's configuration.
+	NewScratch() *DetectScratch
+	DetectTo(sc *DetectScratch, out []float64, k int, y []complex128) error
 	Detect(llr [][]float64, k int, y []complex128) ([][]float64, error)
 	Equalize(dst []complex128, k int, y []complex128) error
 }
@@ -41,9 +48,11 @@ type linearDetector struct {
 	demapper *modem.Demapper
 	noiseVar float64
 	// Per-subcarrier state.
-	w    []*cmatrix.Matrix // weight matrix
-	csi  [][]float64       // per-stream effective CSI weight (1/noise-enhancement)
-	sbuf []complex128
+	w   []*cmatrix.Matrix // weight matrix
+	csi [][]float64       // per-stream effective CSI weight (1/noise-enhancement)
+	// Detect runs on the detector's own scratch.
+	sc  *DetectScratch
+	out []float64
 	// Prepare scratch, reused across calls.
 	hh, gram, gi, work, bias *cmatrix.Matrix
 }
@@ -51,13 +60,20 @@ type linearDetector struct {
 // NewZF returns a zero-forcing detector (W = (HᴴH)⁻¹Hᴴ) for nss streams of
 // the given constellation.
 func NewZF(scheme modem.Scheme, nss int) Detector {
-	return &linearDetector{name: "zf", nss: nss, demapper: modem.NewDemapper(scheme), sbuf: make([]complex128, nss)}
+	return newLinear("zf", false, scheme, nss)
 }
 
 // NewMMSE returns an MMSE detector (W = (HᴴH + σ²I)⁻¹Hᴴ with per-stream
 // bias removal) for nss streams of the given constellation.
 func NewMMSE(scheme modem.Scheme, nss int) Detector {
-	return &linearDetector{name: "mmse", mmse: true, nss: nss, demapper: modem.NewDemapper(scheme), sbuf: make([]complex128, nss)}
+	return newLinear("mmse", true, scheme, nss)
+}
+
+func newLinear(name string, mmse bool, scheme modem.Scheme, nss int) *linearDetector {
+	d := &linearDetector{name: name, mmse: mmse, nss: nss, demapper: modem.NewDemapper(scheme),
+		out: make([]float64, nss*scheme.BitsPerSymbol())}
+	d.sc = d.NewScratch()
+	return d
 }
 
 func (d *linearDetector) Name() string { return d.name }
@@ -166,17 +182,7 @@ func (d *linearDetector) checkPrepared(k int) error {
 }
 
 func (d *linearDetector) Detect(llr [][]float64, k int, y []complex128) ([][]float64, error) {
-	if err := d.checkPrepared(k); err != nil {
-		return llr, err
-	}
-	if len(llr) != d.nss {
-		return llr, fmt.Errorf("mimo: %d LLR streams, want %d", len(llr), d.nss)
-	}
-	d.w[k].MulVecInto(d.sbuf, y)
-	for i := 0; i < d.nss; i++ {
-		llr[i] = d.demapper.SoftOne(llr[i], d.sbuf[i], d.noiseVar, d.csi[k][i])
-	}
-	return llr, nil
+	return detectAppend(d, d.sc, d.out, d.nss, llr, k, y)
 }
 
 func (d *linearDetector) Equalize(dst []complex128, k int, y []complex128) error {
@@ -328,16 +334,7 @@ func resize[T any](s []T, n int) []T {
 }
 
 func (d *mlDetector) Detect(llr [][]float64, k int, y []complex128) ([][]float64, error) {
-	if len(llr) != d.nss {
-		return llr, fmt.Errorf("mimo: %d LLR streams, want %d", len(llr), d.nss)
-	}
-	if err := d.DetectTo(d.sc, d.out, k, y); err != nil {
-		return llr, err
-	}
-	for i := range llr {
-		llr[i] = append(llr[i], d.out[i*d.nbpsc:(i+1)*d.nbpsc]...)
-	}
-	return llr, nil
+	return detectAppend(d, d.sc, d.out, d.nss, llr, k, y)
 }
 
 // Equalize returns the hard joint-ML decision points: the best prefix's

@@ -402,9 +402,8 @@ func BenchmarkMLDetectTo52Tones(b *testing.B) {
 	if err := det.Prepare(h, 0.01); err != nil {
 		b.Fatal(err)
 	}
-	bd := det.(BatchDetector)
-	sc := bd.NewScratch()
-	out := make([]float64, 2*bd.BitsPerStream())
+	sc := det.NewScratch()
+	out := make([]float64, 2*modem.QAM16.BitsPerSymbol())
 	y := make([][]complex128, len(h))
 	for k := range y {
 		y[k] = []complex128{complex(r.NormFloat64(), r.NormFloat64()), complex(r.NormFloat64(), r.NormFloat64())}
@@ -413,7 +412,7 @@ func BenchmarkMLDetectTo52Tones(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k, yk := range y {
-			if err := bd.DetectTo(sc, out, k, yk); err != nil {
+			if err := det.DetectTo(sc, out, k, yk); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -515,7 +514,6 @@ func TestMLMatchesExhaustive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bd := det.(BatchDetector)
 				h := randChannels(r, 4, nrx, nss)
 				dead := h[len(h)-1]
 				col := r.Intn(nss)
@@ -526,7 +524,7 @@ func TestMLMatchesExhaustive(t *testing.T) {
 				if err := det.Prepare(h, noiseVar); err != nil {
 					t.Fatal(err)
 				}
-				sc := bd.NewScratch()
+				sc := det.NewScratch()
 				out := make([]float64, nss*nbpsc)
 				eq := make([]complex128, nss)
 				x := make([]complex128, nss)
@@ -540,7 +538,7 @@ func TestMLMatchesExhaustive(t *testing.T) {
 							y[i] += complex(r.NormFloat64(), r.NormFloat64()) * complex(math.Sqrt(noiseVar/2), 0)
 						}
 						want, wantHard, wantDist := exhaustiveML(hk, points, nbpsc, noiseVar, y)
-						if err := bd.DetectTo(sc, out, k, y); err != nil {
+						if err := det.DetectTo(sc, out, k, y); err != nil {
 							t.Fatal(err)
 						}
 						name := fmt.Sprintf("%v nss=%d nrx=%d k=%d trial=%d", scheme, nss, nrx, k, trial)
@@ -600,7 +598,7 @@ func TestMLSteadyStateAllocFree(t *testing.T) {
 			}
 			dets[i] = det
 		}
-		sc := dets[0].(BatchDetector).NewScratch()
+		sc := dets[0].NewScratch()
 		nb := c.scheme.BitsPerSymbol()
 		out := make([]float64, c.nss*nb)
 		eq := make([]complex128, c.nss)
@@ -628,7 +626,7 @@ func TestMLSteadyStateAllocFree(t *testing.T) {
 			if err := det.Prepare(h, 0.05); err != nil {
 				t.Fatal(err)
 			}
-			if err := det.(BatchDetector).DetectTo(sc, out, 7, y); err != nil {
+			if err := det.DetectTo(sc, out, 7, y); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -649,7 +647,8 @@ func randChannels(r *rand.Rand, nk, nrx, nss int) []*cmatrix.Matrix {
 
 // TestDetectToMatchesDetect pins the batch-path contract: for every detector
 // family, DetectTo with per-worker scratch writes exactly the LLR values
-// Detect appends, in stream-major order.
+// Detect appends, in stream-major order, and for the linear and SIC
+// families both equal referenceDetect.
 func TestDetectToMatchesDetect(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for _, name := range []string{"zf", "mmse", "sic", "ml"} {
@@ -662,17 +661,13 @@ func TestDetectToMatchesDetect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bd, ok := det.(BatchDetector)
-				if !ok {
-					t.Fatalf("%s detector does not implement BatchDetector", name)
-				}
 				nrx := nss + 1
 				h := randChannels(r, 8, nrx, nss)
 				if err := det.Prepare(h, 0.05); err != nil {
 					t.Fatal(err)
 				}
-				nb := bd.BitsPerStream()
-				sc := bd.NewScratch()
+				nb := scheme.BitsPerSymbol()
+				sc := det.NewScratch()
 				out := make([]float64, nss*nb)
 				llr := make([][]float64, nss)
 				y := make([]complex128, nrx)
@@ -686,14 +681,19 @@ func TestDetectToMatchesDetect(t *testing.T) {
 					if _, err := det.Detect(llr, k, y); err != nil {
 						t.Fatal(err)
 					}
-					if err := bd.DetectTo(sc, out, k, y); err != nil {
+					if err := det.DetectTo(sc, out, k, y); err != nil {
 						t.Fatal(err)
 					}
+					ref := referenceDetect(det, k, y)
 					for i := 0; i < nss; i++ {
 						for b := 0; b < nb; b++ {
 							if got, want := out[i*nb+b], llr[i][b]; got != want {
 								t.Fatalf("%s/%v nss=%d k=%d stream=%d bit=%d: DetectTo %v != Detect %v",
 									name, scheme, nss, k, i, b, got, want)
+							}
+							if ref != nil && math.Float64bits(out[i*nb+b]) != math.Float64bits(ref[i][b]) {
+								t.Fatalf("%s/%v nss=%d k=%d stream=%d bit=%d: DetectTo %v != reference %v",
+									name, scheme, nss, k, i, b, out[i*nb+b], ref[i][b])
 							}
 						}
 					}
@@ -701,6 +701,41 @@ func TestDetectToMatchesDetect(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceDetect is the stand-alone per-tone body the linear and SIC
+// families' Detect had before it became a wrapper of DetectTo, kept as
+// DetectTo's oracle: it appends each stream's LLRs with Demapper.SoftOne
+// and, for SIC, cancels on a freshly allocated residual. It returns nil for
+// ML, whose oracles are exhaustiveML and referenceSearch.
+func referenceDetect(det Detector, k int, y []complex128) [][]float64 {
+	switch d := det.(type) {
+	case *linearDetector:
+		s := make([]complex128, d.nss)
+		d.w[k].MulVecInto(s, y)
+		llr := make([][]float64, d.nss)
+		for i := range llr {
+			llr[i] = d.demapper.SoftOne(nil, s[i], d.noiseVar, d.csi[k][i])
+		}
+		return llr
+	case *sicDetector:
+		plan := &d.plans[k]
+		llr := make([][]float64, d.nss)
+		resid := append([]complex128(nil), y...)
+		for stage, stream := range plan.order {
+			var s complex128
+			for j, w := range plan.w[stage] {
+				s += w * resid[j]
+			}
+			llr[stream] = d.demapper.SoftOne(llr[stream], s, d.noiseVar, plan.csi[stage])
+			point := d.mapper.MapOne(d.demapper.HardOne(nil, s))
+			for r := 0; r < plan.h.Rows; r++ {
+				resid[r] -= plan.h.At(r, stream) * point
+			}
+		}
+		return llr
+	}
+	return nil
 }
 
 // referenceSearch is the ML enumeration the generated kernels replaced,

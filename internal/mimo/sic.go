@@ -22,6 +22,9 @@ type sicDetector struct {
 	noiseVar float64
 	// Per-subcarrier precomputed stage plans.
 	plans []sicPlan
+	// Detect runs on the detector's own scratch.
+	sc  *DetectScratch
+	out []float64
 }
 
 // sicPlan holds the detection order and per-stage weight rows for one
@@ -39,12 +42,15 @@ type sicPlan struct {
 // NewSIC returns an MMSE-ordered successive-interference-cancellation
 // detector for nss streams of the given constellation.
 func NewSIC(scheme modem.Scheme, nss int) Detector {
-	return &sicDetector{
+	d := &sicDetector{
 		nss:      nss,
 		mapper:   modem.NewMapper(scheme),
 		demapper: modem.NewDemapper(scheme),
 		points:   modem.NewMapper(scheme).Points(),
+		out:      make([]float64, nss*scheme.BitsPerSymbol()),
 	}
+	d.sc = d.NewScratch()
+	return d
 }
 
 func (d *sicDetector) Name() string { return "sic" }
@@ -156,32 +162,7 @@ func dropColumn(m *cmatrix.Matrix, col int) *cmatrix.Matrix {
 }
 
 func (d *sicDetector) Detect(llr [][]float64, k int, y []complex128) ([][]float64, error) {
-	if d.plans == nil {
-		return llr, fmt.Errorf("mimo: sic detector used before Prepare")
-	}
-	if k < 0 || k >= len(d.plans) {
-		return llr, fmt.Errorf("mimo: subcarrier %d out of range", k)
-	}
-	if len(llr) != d.nss {
-		return llr, fmt.Errorf("mimo: %d LLR streams, want %d", len(llr), d.nss)
-	}
-	plan := &d.plans[k]
-	resid := append([]complex128(nil), y...)
-	for stage, stream := range plan.order {
-		// Linear estimate of this stage's stream from the residual.
-		var s complex128
-		for j, w := range plan.w[stage] {
-			s += w * resid[j]
-		}
-		llr[stream] = d.demapper.SoftOne(llr[stream], s, d.noiseVar, plan.csi[stage])
-		// Hard decision, reconstruct and cancel from the residual.
-		hard := d.demapper.HardOne(nil, s)
-		point := d.mapper.MapOne(hard)
-		for r := 0; r < plan.h.Rows; r++ {
-			resid[r] -= plan.h.At(r, stream) * point
-		}
-	}
-	return llr, nil
+	return detectAppend(d, d.sc, d.out, d.nss, llr, k, y)
 }
 
 func (d *sicDetector) Equalize(dst []complex128, k int, y []complex128) error {

@@ -247,39 +247,14 @@ func (o *RxObs) updatePER() {
 }
 
 // preFECCompare re-encodes the Viterbi decision and counts disagreements
-// with the hard decisions of the received coded LLR stream — the standard
+// with the hard decisions of the received coded LLRs — the standard
 // receiver-side channel-BER estimator, exact whenever the decoder converged
-// to the transmitted sequence (FCS-verified packets). Zero LLRs (erasures)
-// are skipped.
-func preFECCompare(decoded []byte, merged []float64, rate fec.Rate) (errs, bits int) {
-	coded := fec.Encode(decoded, rate)
-	n := len(coded)
-	if len(merged) < n {
-		n = len(merged)
-	}
-	for i := 0; i < n; i++ {
-		llr := merged[i]
-		if llr == 0 {
-			continue
-		}
-		hard := byte(0)
-		if llr < 0 {
-			hard = 1
-		}
-		bits++
-		if hard != coded[i] {
-			errs++
-		}
-	}
-	return errs, bits
-}
-
-// preFECCompareMother is preFECCompare for the batch data path, which never
-// materialises the merged (pre-depuncture) stream: it compares against the
-// depunctured mother-code LLRs instead, re-encoding at rate 1/2. Punctured
-// positions are zeros in dep — exactly the erasures preFECCompare skips in
-// merged — so both variants count the same surviving coded bits.
-func preFECCompareMother(decoded []byte, dep []float64) (errs, bits int) {
+// to the transmitted sequence (FCS-verified packets). The data phase never
+// materialises the merged (pre-depuncture) stream, so the comparison runs
+// against the depunctured mother-code LLRs, re-encoded at rate 1/2. Zero
+// LLRs are skipped: punctured slots are zeros in dep, so the count covers
+// exactly the coded bits that were transmitted.
+func preFECCompare(decoded []byte, dep []float64) (errs, bits int) {
 	coded := fec.Encode(decoded, fec.Rate1_2)
 	n := len(coded)
 	if len(dep) < n {

@@ -261,9 +261,6 @@ func TestReceiverValidation(t *testing.T) {
 	if _, err := NewReceiver(RxConfig{NumAntennas: 2, Detector: "wat"}); err == nil {
 		t.Error("bad detector should fail")
 	}
-	if _, err := NewReceiver(RxConfig{NumAntennas: 2, TimingBackoff: 16}); err == nil {
-		t.Error("excessive backoff should fail")
-	}
 	rx, _ := NewReceiver(RxConfig{NumAntennas: 2})
 	if _, err := rx.Receive([][]complex128{make([]complex128, 100)}); err == nil {
 		t.Error("wrong stream count should fail")

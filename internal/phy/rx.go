@@ -10,7 +10,6 @@ import (
 	"repro/internal/cmatrix"
 	"repro/internal/est"
 	"repro/internal/fec"
-	"repro/internal/metrics"
 	"repro/internal/mimo"
 	"repro/internal/modem"
 	"repro/internal/obs"
@@ -49,11 +48,6 @@ type RxConfig struct {
 	// SmoothingWindow applies frequency smoothing to the HT channel
 	// estimate when > 1 (odd).
 	SmoothingWindow int
-	// DetectorConfig tunes packet detection; zero value selects defaults.
-	DetectorConfig synchro.DetectorConfig
-	// TimingBackoff shifts every FFT window this many samples into the
-	// cyclic prefix to tolerate residual timing error. Default 3.
-	TimingBackoff int
 	// TrackChannel enables decision-directed LMS tracking of the channel
 	// estimate across data symbols, for time-varying (Doppler) channels.
 	TrackChannel bool
@@ -63,20 +57,23 @@ type RxConfig struct {
 	// CP-ML estimator needs no training fields, so it keeps working on
 	// arbitrary OFDM traffic; experiment E21 compares the two modes.
 	CPMLSync bool
-	// TrackStep is the LMS step size µ; default 0.25 when tracking.
-	TrackStep float64
 	// Workers bounds the in-packet parallelism of the batched data phase:
 	// 0 selects GOMAXPROCS, 1 forces the inline serial schedule. Decoded
 	// output is bit-identical at every worker count (the batch passes use
-	// fixed-size symbol shards writing disjoint regions).
+	// fixed-size symbol shards writing disjoint regions). Under
+	// TrackChannel, detection runs in symbol order on one worker, because
+	// each symbol's decisions update the channel the next one is detected
+	// with; the FFT pass still shards.
 	Workers int
-	// ScalarChain forces the legacy symbol-at-a-time data phase instead of
-	// the block-batched one, as an ablation/debug escape hatch and for the
-	// batch-equivalence tests. The receiver also falls back to the scalar
-	// chain automatically when a feature requires it (decision-directed
-	// channel tracking, flight-evidence capture).
-	ScalarChain bool
 }
+
+// timingBackoff shifts every FFT window this many samples into the cyclic
+// prefix to tolerate residual timing error. It is below the short guard
+// interval's 8-sample prefix, so every window stays inside its symbol.
+const timingBackoff = 3
+
+// trackStep is the LMS step size µ of decision-directed channel tracking.
+const trackStep = 0.25
 
 // RxResult reports one decoded packet.
 type RxResult struct {
@@ -131,11 +128,6 @@ type Receiver struct {
 	pool         bufPool
 	workers      []*rxWorker
 	scatterCache map[int][][]int32
-	// Per-MCS interleaver/stream-parser caches, shared by both data phases
-	// (construction builds permutation tables, so it is per-packet cost
-	// worth hoisting).
-	ilvCache    map[int][]*fec.Interleaver
-	parserCache map[int]*mimo.StreamParser
 	// Packet-lifetime slice headers and pilot reference buffers, reused.
 	tones      [][]complex128
 	pilots     [][]complex128
@@ -145,24 +137,24 @@ type Receiver struct {
 }
 
 // dataCtx carries the data-field geometry and per-packet processing state
-// from receive() into the scalar or batched data phase.
+// from the receive chain's front half into the data phase and the decode
+// tail.
 type dataCtx struct {
 	rx         [][]complex128
 	mcs        MCS
 	htsig      preamble.HTSIG
 	nSym       int
+	steps      int // Viterbi steps decoded: SERVICE + PSDU + tail
 	dataStart  int
 	dataSymLen int
 	dataCP     int
-	dataBO     int
 	detector   mimo.Detector
-	batchDet   mimo.BatchDetector
 	tracker    *chanest.PhaseTracker
-	htEst      *chanest.HTEstimate
-	noiseVar   float64
-	ilv        []*fec.Interleaver
-	parser     *mimo.StreamParser
-	result     *RxResult
+	// h holds the data-tone channel matrices the detector was prepared
+	// with; channel tracking updates them in place.
+	h        []*cmatrix.Matrix
+	noiseVar float64
+	result   *RxResult
 }
 
 // SetObs attaches the receiver's telemetry surface. Nil detaches it.
@@ -198,21 +190,6 @@ func NewReceiver(cfg RxConfig) (*Receiver, error) {
 	}
 	if cfg.Detector == "" {
 		cfg.Detector = "mmse"
-	}
-	if cfg.DetectorConfig == (synchro.DetectorConfig{}) {
-		cfg.DetectorConfig = synchro.DefaultDetectorConfig()
-	}
-	if cfg.TimingBackoff == 0 {
-		cfg.TimingBackoff = 3
-	}
-	if cfg.TimingBackoff < 0 || cfg.TimingBackoff >= ofdm.CPLen {
-		return nil, fmt.Errorf("phy: timing backoff %d outside [0, %d)", cfg.TimingBackoff, ofdm.CPLen)
-	}
-	if cfg.TrackStep == 0 {
-		cfg.TrackStep = 0.25
-	}
-	if cfg.TrackStep < 0 || cfg.TrackStep > 1 {
-		return nil, fmt.Errorf("phy: LMS step %g outside (0, 1]", cfg.TrackStep)
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("phy: worker count %d is negative", cfg.Workers)
@@ -256,16 +233,33 @@ func (r *Receiver) Receive(rx [][]complex128) (*RxResult, error) {
 }
 
 // receive is the synchronization and decode chain behind Receive, with
-// stage span markers threaded through it.
+// stage span markers threaded through it: the front half up to the data
+// field, the batched data phase, and the Viterbi/descramble tail.
 func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) {
+	ctx, err := r.front(rx, tr)
+	if err != nil {
+		return ctx.result, err
+	}
+	dep, err := r.dataBatch(&ctx, tr)
+	if err != nil {
+		return ctx.result, err
+	}
+	return r.finish(&ctx, dep, tr)
+}
+
+// front runs the chain up to the data field — packet detection, CFO and
+// timing, legacy and HT channel estimation, both SIG fields — and prepares
+// the detector and the Viterbi decoder. On error, ctx.result is the
+// partial result Receive reports, which may be nil.
+func (r *Receiver) front(rx [][]complex128, tr *obs.Trace) (dataCtx, error) {
 	if len(rx) != r.cfg.NumAntennas {
-		return nil, fmt.Errorf("phy: %d streams for %d antennas", len(rx), r.cfg.NumAntennas)
+		return dataCtx{}, fmt.Errorf("phy: %d streams for %d antennas", len(rx), r.cfg.NumAntennas)
 	}
 	// --- 1. Packet detection on the STF periodicity ---------------------
 	tr.Begin(obs.StageSync)
 	det, err := r.detect(rx)
 	if err != nil {
-		return nil, err
+		return dataCtx{}, err
 	}
 	// Evidence capture opens here, before CFO correction rewrites rx in
 	// place: the dump keeps the sync-point IQ as the antenna actually saw it.
@@ -288,7 +282,7 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	if r.cfg.CPMLSync {
 		coarse, err = r.cpmlCFO(rx, det.Index)
 		if err != nil {
-			return nil, fmt.Errorf("phy: CP-ML sync: %w", err)
+			return dataCtx{}, fmt.Errorf("phy: CP-ML sync: %w", err)
 		}
 		// CP-ML has no fine stage: one pass derotates the whole capture.
 		synchro.CorrectCFO(rx, coarse)
@@ -296,7 +290,7 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 		region := subRange(rx, stfStart, stfEnd)
 		coarse, err = synchro.CoarseCFO(region)
 		if err != nil {
-			return nil, fmt.Errorf("phy: coarse CFO: %w", err)
+			return dataCtx{}, fmt.Errorf("phy: coarse CFO: %w", err)
 		}
 		// Only the sync prefix now: FinishCFO derotates the rest of the
 		// capture by both offsets in one pass once fine CFO is known.
@@ -306,7 +300,7 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	// --- 2. Fine timing on the L-LTF ------------------------------------
 	ltfStart, err := synchro.FineTiming(rx, from, to)
 	if err != nil {
-		return nil, fmt.Errorf("phy: fine timing: %w", err)
+		return dataCtx{}, fmt.Errorf("phy: fine timing: %w", err)
 	}
 	stfStartEst := ltfStart - 192
 
@@ -317,7 +311,7 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 		ltfRegion := subRange(rx, ltfStart, ltfStart+128)
 		fine, err = synchro.FineCFO(ltfRegion)
 		if err != nil {
-			return nil, fmt.Errorf("phy: fine CFO: %w", err)
+			return dataCtx{}, fmt.Errorf("phy: fine CFO: %w", err)
 		}
 		synchro.FinishCFO(rx, coarse, fine, syncEnd)
 	}
@@ -325,22 +319,21 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 
 	// --- 4. Legacy channel estimate + SNR from the L-LTF ----------------
 	tr.Begin(obs.StageChanest)
-	bo := r.cfg.TimingBackoff
 	ltfSpectra := make([][][]complex128, len(rx))
 	for a := range rx {
-		s1, err := r.bins(r.legDem, rx[a], ltfStart-bo)
+		s1, err := r.bins(r.legDem, rx[a], ltfStart-timingBackoff)
 		if err != nil {
-			return nil, fmt.Errorf("phy: L-LTF window: %w", err)
+			return dataCtx{}, fmt.Errorf("phy: L-LTF window: %w", err)
 		}
-		s2, err := r.bins(r.legDem, rx[a], ltfStart+64-bo)
+		s2, err := r.bins(r.legDem, rx[a], ltfStart+64-timingBackoff)
 		if err != nil {
-			return nil, err
+			return dataCtx{}, err
 		}
 		ltfSpectra[a] = [][]complex128{s1, s2}
 	}
 	leg, err := chanest.EstimateLegacy(ltfSpectra)
 	if err != nil {
-		return nil, err
+		return dataCtx{}, err
 	}
 	result := &RxResult{
 		SNRdB:    est.DB(leg.SNR()),
@@ -356,42 +349,42 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	base := ltfStart - (OffLLTF + 32)
 	lsigSym, lsigCSI, err := r.equalizeLegacySymbols(rx, leg, base+OffLSIG, 1)
 	if err != nil {
-		return nil, err
+		return dataCtx{}, err
 	}
 	lsigBits, err := r.sig.decode(lsigSym, lsigCSI, leg.NoiseVar, false)
 	if err != nil {
-		return nil, fmt.Errorf("phy: L-SIG decode: %w", err)
+		return dataCtx{}, fmt.Errorf("phy: L-SIG decode: %w", err)
 	}
 	lsig, err := preamble.ParseLSIG(lsigBits)
 	if err != nil {
-		return result, fmt.Errorf("phy: %w", err)
+		return dataCtx{result: result}, fmt.Errorf("phy: %w", err)
 	}
 	result.LSIG = lsig
 	if lsig.Rate != preamble.Rate6Mbps {
-		return result, fmt.Errorf("%w: L-SIG rate %#04b is not the HT-mixed 6 Mbit/s code", ErrBadSIG, lsig.Rate)
+		return dataCtx{result: result}, fmt.Errorf("%w: L-SIG rate %#04b is not the HT-mixed 6 Mbit/s code", ErrBadSIG, lsig.Rate)
 	}
 
 	// --- 6. HT-SIG --------------------------------------------------------
 	htsigSym, htsigCSI, err := r.equalizeLegacySymbols(rx, leg, base+OffHTSIG, 2)
 	if err != nil {
-		return nil, err
+		return dataCtx{}, err
 	}
 	htsigBits, err := r.sig.decode(htsigSym, htsigCSI, leg.NoiseVar, true)
 	if err != nil {
-		return nil, fmt.Errorf("phy: HT-SIG decode: %w", err)
+		return dataCtx{}, fmt.Errorf("phy: HT-SIG decode: %w", err)
 	}
 	htsig, err := preamble.ParseHTSIG(htsigBits)
 	if err != nil {
-		return result, fmt.Errorf("phy: %w", err)
+		return dataCtx{result: result}, fmt.Errorf("phy: %w", err)
 	}
 	result.HTSIG = htsig
 	mcs, err := Lookup(htsig.MCS)
 	if err != nil {
-		return result, fmt.Errorf("phy: HT-SIG announced unsupported %w", err)
+		return dataCtx{result: result}, fmt.Errorf("phy: HT-SIG announced unsupported %w", err)
 	}
 	result.MCS = mcs
 	if mcs.NSS > r.cfg.NumAntennas && r.cfg.Detector != "ml" {
-		return result, fmt.Errorf("phy: %d antennas cannot linearly separate %d streams", r.cfg.NumAntennas, mcs.NSS)
+		return dataCtx{result: result}, fmt.Errorf("phy: %d antennas cannot linearly separate %d streams", r.cfg.NumAntennas, mcs.NSS)
 	}
 
 	// Validate the announced payload geometry against the captured streams
@@ -399,21 +392,18 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	// rejected with a typed error, not discovered mid-symbol.
 	nltf := preamble.NumHTLTF(mcs.NSS)
 	if htsig.Length == 0 {
-		return result, fmt.Errorf("%w: HT-SIG announces an empty PSDU", ErrSIGBounds)
+		return dataCtx{result: result}, fmt.Errorf("%w: HT-SIG announces an empty PSDU", ErrSIGBounds)
 	}
 	nSym := mcs.NumSymbols(htsig.Length)
 	dataCP := ofdm.CPLen
 	if htsig.ShortGI {
 		dataCP = ofdm.CPLenShort
 	}
-	dataBO := bo
-	if dataBO >= dataCP {
-		dataBO = dataCP - 1
-	}
-	// The last FFT window ends dataBO samples short of the nominal PPDU end.
-	need := base + OffHTLTF + nltf*preamble.HTLTFLen + nSym*(ofdm.FFTSize+dataCP) - dataBO
+	// The last FFT window ends timingBackoff samples short of the nominal
+	// PPDU end.
+	need := base + OffHTLTF + nltf*preamble.HTLTFLen + nSym*(ofdm.FFTSize+dataCP) - timingBackoff
 	if need > len(rx[0]) {
-		return result, fmt.Errorf("%w: HT-SIG length %d needs %d samples, stream has %d",
+		return dataCtx{result: result}, fmt.Errorf("%w: HT-SIG length %d needs %d samples, stream has %d",
 			ErrSIGBounds, htsig.Length, need, len(rx[0]))
 	}
 
@@ -423,20 +413,20 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	for a := range rx {
 		htSpectra[a] = make([][]complex128, nltf)
 		for n := 0; n < nltf; n++ {
-			spec, err := r.bins(r.htDem, rx[a], base+OffHTLTF+n*preamble.HTLTFLen+ofdm.CPLen-bo)
+			spec, err := r.bins(r.htDem, rx[a], base+OffHTLTF+n*preamble.HTLTFLen+ofdm.CPLen-timingBackoff)
 			if err != nil {
-				return result, fmt.Errorf("phy: HT-LTF window: %w", err)
+				return dataCtx{result: result}, fmt.Errorf("phy: HT-LTF window: %w", err)
 			}
 			htSpectra[a][n] = spec
 		}
 	}
 	htEst, err := chanest.EstimateHT(htSpectra, mcs.NSS)
 	if err != nil {
-		return result, err
+		return dataCtx{result: result}, err
 	}
 	if (r.cfg.SmoothingWindow > 1) && htsig.Smoothing {
 		if err := htEst.Smooth(r.cfg.SmoothingWindow); err != nil {
-			return result, err
+			return dataCtx{result: result}, err
 		}
 	}
 	if snr := leg.SNR(); snr > 0 {
@@ -454,123 +444,70 @@ func (r *Receiver) receive(rx [][]complex128, tr *obs.Trace) (*RxResult, error) 
 	if r.det == nil || r.detScheme != mcs.Scheme || r.detNSS != mcs.NSS {
 		d, derr := mimo.NewDetector(r.cfg.Detector, mcs.Scheme, mcs.NSS)
 		if derr != nil {
-			return result, derr
+			return dataCtx{result: result}, derr
 		}
 		r.det, r.detScheme, r.detNSS = d, mcs.Scheme, mcs.NSS
 	}
 	detector := r.det
-	if err := detector.Prepare(htEst.DataMatrices(), leg.NoiseVar); err != nil {
-		return result, err
+	h := htEst.DataMatrices()
+	if err := detector.Prepare(h, leg.NoiseVar); err != nil {
+		return dataCtx{result: result}, err
 	}
 	var tracker *chanest.PhaseTracker
 	if !r.cfg.DisablePhaseTracking {
 		tracker = chanest.NewPhaseTracker(htEst)
 	}
 
-	ilv, parser, err := r.streamCodecs(mcs)
-	if err != nil {
-		return result, err
+	// Pre-size the Viterbi decoder from the SIG-declared packet length so
+	// the decode in finish starts with its traceback storage in place.
+	steps := 16 + 8*htsig.Length + 6
+	if steps > nSym*mcs.NDBPS() {
+		return dataCtx{result: result}, fmt.Errorf("phy: HT-SIG length %d exceeds the %d-symbol data field", htsig.Length, nSym)
 	}
-	ctx := &dataCtx{
+	r.vit.Reserve(steps)
+	return dataCtx{
 		rx:         rx,
 		mcs:        mcs,
 		htsig:      htsig,
 		nSym:       nSym,
+		steps:      steps,
 		dataStart:  base + OffHTLTF + nltf*preamble.HTLTFLen,
 		dataSymLen: ofdm.FFTSize + dataCP,
 		dataCP:     dataCP,
-		dataBO:     dataBO,
 		detector:   detector,
 		tracker:    tracker,
-		htEst:      htEst,
+		h:          h,
 		noiseVar:   leg.NoiseVar,
-		ilv:        ilv,
-		parser:     parser,
 		result:     result,
-	}
-	// Pre-size the Viterbi decoder from the SIG-declared packet length so
-	// the decode below starts with its traceback storage in place.
-	usefulSteps := 16 + 8*htsig.Length + 6
-	dataBits := nSym * mcs.NDBPS()
-	if usefulSteps > dataBits {
-		return result, fmt.Errorf("phy: HT-SIG length %d exceeds the %d-symbol data field", htsig.Length, nSym)
-	}
-	r.vit.Reserve(usefulSteps)
+	}, nil
+}
 
-	// The block-batched data phase is the default; the symbol-at-a-time
-	// chain remains for features with inherently sequential symbol coupling
-	// (decision-directed channel tracking), for flight-evidence capture
-	// (per-symbol EVM accumulation), and as an explicit ablation switch.
-	// Both produce bit-identical depunctured LLR streams.
-	bd, canBatch := detector.(mimo.BatchDetector)
-	useScalar := r.cfg.ScalarChain || r.cfg.TrackChannel || r.obs.evidence() != nil || !canBatch
-	var dep, merged []float64
-	if useScalar {
-		dep, merged, err = r.dataScalar(ctx, tr)
-	} else {
-		ctx.batchDet = bd
-		dep, err = r.dataBatch(ctx, tr)
-	}
-	if err != nil {
-		return result, err
-	}
-
+// finish is the receive chain's tail: Viterbi decode of the data phase's
+// depunctured LLRs, pre-FEC accounting and descrambling into ctx.result.
+func (r *Receiver) finish(ctx *dataCtx, dep []float64, tr *obs.Trace) (*RxResult, error) {
 	// --- 9. Viterbi decode and descramble -------------------------------
 	// The trellis is in the zero state right after the 6 tail bits; the pad
 	// bits that fill the last symbol keep driving it afterwards, so decode
 	// only SERVICE + PSDU + tail steps and anchor traceback at the tail.
 	tr.Begin(obs.StageViterbi)
-	decoded, err := r.vit.DecodeSoftInto(r.decBuf, dep[:2*usefulSteps], true)
+	decoded, err := r.vit.DecodeSoftInto(r.decBuf, dep[:2*ctx.steps], true)
 	if err != nil {
-		return result, err
+		return ctx.result, err
 	}
 	r.decBuf = decoded
 	if r.obs != nil {
-		var errs, bits int
-		if merged != nil {
-			errs, bits = preFECCompare(decoded, merged, mcs.Rate)
-		} else {
-			errs, bits = preFECCompareMother(decoded, dep)
-		}
-		r.obs.prefec(errs, bits)
+		r.obs.prefec(preFECCompare(decoded, dep))
 	}
 	// Descramble: recover the seed from the SERVICE field (the first 7
 	// scrambled bits reveal the initial state).
 	descrambled := descramble(decoded)
-	psduBits := descrambled[16 : 16+8*htsig.Length]
+	psduBits := descrambled[16 : 16+8*ctx.htsig.Length]
 	psdu, err := bitutil.BitsToBytes(psduBits)
 	if err != nil {
-		return result, err
+		return ctx.result, err
 	}
-	result.PSDU = psdu
-	return result, nil
-}
-
-// accumulateEVM folds one symbol's decision-directed error vectors into the
-// per-subcarrier accumulators: each stream's LLR signs slice back to bits,
-// map to the constellation point x̂, and every antenna's received tone is
-// compared against the channel's prediction H·x̂ — the per-subcarrier EVM
-// that localises MIMO impairments to individual tones.
-func accumulateEVM(acc []metrics.EVM, perSymbol [][]float64, dataTones [][]complex128, h []*cmatrix.Matrix, mapper *modem.Mapper, bits []byte, xhat []complex128, nss, nbpsc int) {
-	for k := range acc {
-		for iss := 0; iss < nss; iss++ {
-			for b := 0; b < nbpsc; b++ {
-				bits[b] = 0
-				if perSymbol[iss][k*nbpsc+b] < 0 {
-					bits[b] = 1
-				}
-			}
-			xhat[iss] = mapper.MapOne(bits)
-		}
-		hk := h[k]
-		for a := range dataTones {
-			var est complex128
-			for s := 0; s < nss; s++ {
-				est += hk.At(a, s) * xhat[s]
-			}
-			acc[k].Add(dataTones[a][k], est)
-		}
-	}
+	ctx.result.PSDU = psdu
+	return ctx.result, nil
 }
 
 // descramble inverts the self-synchronizing scrambler given that the first
@@ -612,7 +549,7 @@ func descramble(bits []byte) []byte {
 
 // detect runs the streaming packet detector over the buffers.
 func (r *Receiver) detect(rx [][]complex128) (*synchro.Detection, error) {
-	d, err := synchro.NewDetector(len(rx), r.cfg.DetectorConfig)
+	d, err := synchro.NewDetector(len(rx), synchro.DefaultDetectorConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -654,13 +591,12 @@ func (r *Receiver) bins(dem *ofdm.Demodulator, stream []complex128, off int) ([]
 // PPDU offset and MRC-combines them across antennas using the L-LTF channel
 // estimate. Returns per-symbol 48-tone vectors and CSI weights.
 func (r *Receiver) equalizeLegacySymbols(rx [][]complex128, leg *chanest.LegacyEstimate, off, count int) ([][]complex128, [][]float64, error) {
-	bo := r.cfg.TimingBackoff
 	// Phase ramp difference: the legacy H was estimated with the same
 	// backoff, so using identical windows keeps the ramp consistent.
 	symbols := make([][]complex128, count)
 	csi := make([][]float64, count)
 	for s := 0; s < count; s++ {
-		start := off + s*ofdm.SymbolLen + ofdm.CPLen - bo
+		start := off + s*ofdm.SymbolLen + ofdm.CPLen - timingBackoff
 		tones := make([]complex128, ofdm.LegacyToneMap.NumData())
 		weights := make([]float64, ofdm.LegacyToneMap.NumData())
 		specs := make([][]complex128, len(rx))

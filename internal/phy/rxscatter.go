@@ -20,15 +20,16 @@ import (
 // N_CBPSS (so symbol boundaries are merge-round boundaries), and the
 // puncture period divides N_DBPS (so every symbol starts at puncture
 // phase 0). buildScatter verifies both by construction — it traces real
-// tagged values through the production transforms rather than re-deriving
-// the index algebra, so the table cannot drift from the scalar path.
+// tagged values through the interleavers, stream merger and depuncturer
+// rather than re-deriving the index algebra, so the table cannot drift from
+// those transforms.
 func buildScatter(mcs MCS, ilv []*fec.Interleaver, parser *mimo.StreamParser) ([][]int32, error) {
 	nss := mcs.NSS
 	ncbpss := mcs.NCBPSS()
 	ndbps := mcs.NDBPS()
 
 	// Tag every (stream, interleaved position) with a unique nonzero ID and
-	// run one symbol through the scalar chain's exact transforms.
+	// run one symbol through the exact transforms.
 	streams := make([][]float64, nss)
 	deint := make([][]float64, nss)
 	for iss := 0; iss < nss; iss++ {
@@ -82,9 +83,13 @@ func buildScatter(mcs MCS, ilv []*fec.Interleaver, parser *mimo.StreamParser) ([
 // scatterTable returns the cached fused deinterleave/merge/depuncture table
 // for the MCS, building it on first use. The cache is bounded by the MCS
 // table size.
-func (r *Receiver) scatterTable(mcs MCS, ilv []*fec.Interleaver, parser *mimo.StreamParser) ([][]int32, error) {
+func (r *Receiver) scatterTable(mcs MCS) ([][]int32, error) {
 	if s, ok := r.scatterCache[mcs.Index]; ok {
 		return s, nil
+	}
+	ilv, parser, err := streamCodecs(mcs)
+	if err != nil {
+		return nil, err
 	}
 	s, err := buildScatter(mcs, ilv, parser)
 	if err != nil {
@@ -95,4 +100,22 @@ func (r *Receiver) scatterTable(mcs MCS, ilv []*fec.Interleaver, parser *mimo.St
 	}
 	r.scatterCache[mcs.Index] = s
 	return s, nil
+}
+
+// streamCodecs builds the per-stream interleavers and the stream parser of
+// the MCS, the transforms a scatter table fuses.
+func streamCodecs(mcs MCS) ([]*fec.Interleaver, *mimo.StreamParser, error) {
+	ilv := make([]*fec.Interleaver, mcs.NSS)
+	for iss := range ilv {
+		il, err := fec.NewHTInterleaver(mcs.NBPSCS(), mcs.NSS, iss)
+		if err != nil {
+			return nil, nil, err
+		}
+		ilv[iss] = il
+	}
+	parser, err := mimo.NewStreamParser(mcs.NSS, mcs.NBPSCS())
+	if err != nil {
+		return nil, nil, err
+	}
+	return ilv, parser, nil
 }

@@ -76,12 +76,3 @@ func TestTrackingHelpsUnderDoppler(t *testing.T) {
 		t.Errorf("tracking (%d) did not beat static estimation (%d)", okTracked, okStatic)
 	}
 }
-
-func TestTrackStepValidation(t *testing.T) {
-	if _, err := NewReceiver(RxConfig{NumAntennas: 2, TrackStep: 1.5}); err == nil {
-		t.Error("step > 1 should fail")
-	}
-	if _, err := NewReceiver(RxConfig{NumAntennas: 2, TrackStep: -0.1}); err == nil {
-		t.Error("negative step should fail")
-	}
-}
