@@ -21,11 +21,12 @@ import (
 )
 
 func main() {
+	def := sim.DefaultOptions()
 	var (
 		exp           = flag.String("exp", "all", "experiment id (e1..e12) or \"all\"")
-		packets       = flag.Int("packets", 200, "Monte-Carlo packets/trials per sweep point")
-		payload       = flag.Int("payload", 500, "MAC payload size in octets")
-		seed          = flag.Int64("seed", 1, "random seed")
+		packets       = flag.Int("packets", def.Packets, "Monte-Carlo packets/trials per sweep point")
+		payload       = flag.Int("payload", def.PayloadLen, "MAC payload size in octets")
+		seed          = flag.Int64("seed", def.Seed, "random seed")
 		quick         = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 		scenario      = flag.String("scenario", "", "restrict fault-injection experiments (e22) to one named scenario")
 		workers       = flag.Int("workers", 0, "Monte-Carlo worker goroutines for the sharded experiments (0 = GOMAXPROCS, 1 = serial); results are identical at any count")

@@ -18,6 +18,8 @@ import (
 // Run loads testdata/src/<pkg> for each named fixture package, applies the
 // analyzer, and reports mismatches between actual diagnostics and // want
 // expectations on t.
+//
+//mimonet:testonly-ok test harness: every analyzer's fixture test runs through it
 func Run(t *testing.T, testdata string, a *framework.Analyzer, pkgNames ...string) {
 	t.Helper()
 	src := filepath.Join(testdata, "src")

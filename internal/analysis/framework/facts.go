@@ -141,26 +141,6 @@ func (g *CallGraph) Functions() []*types.Func {
 	return out
 }
 
-// Reaches reports whether pred holds for fn or any function transitively
-// callable from it within maxDepth hops (maxDepth 0 checks fn alone).
-func (g *CallGraph) Reaches(fn *types.Func, maxDepth int, pred func(*types.Func) bool) bool {
-	if fn == nil {
-		return false
-	}
-	if pred(fn) {
-		return true
-	}
-	if g == nil || maxDepth <= 0 {
-		return false
-	}
-	for _, callee := range g.callees[fn] {
-		if g.Reaches(callee, maxDepth-1, pred) {
-			return true
-		}
-	}
-	return false
-}
-
 // CalleeOf resolves a call expression to the static *types.Func it invokes:
 // plain calls, method calls, and calls through package selectors. Calls
 // through function values, interface methods with no static target, and

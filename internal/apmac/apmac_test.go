@@ -90,28 +90,25 @@ func TestBackoffBEB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Window() != 4 {
-		t.Fatalf("initial window %d, want 4", b.Window())
+	if b.cw != 4 {
+		t.Fatalf("initial window %d, want 4", b.cw)
 	}
 	b.Collision()
-	if b.Window() != 8 {
-		t.Errorf("after one collision window %d, want 8", b.Window())
+	if b.cw != 8 {
+		t.Errorf("after one collision window %d, want 8", b.cw)
 	}
 	b.Collision()
 	b.Collision() // saturates at 2^4 = 16
-	if b.Window() != 16 {
-		t.Errorf("saturated window %d, want 16", b.Window())
-	}
-	if b.Collisions() != 3 {
-		t.Errorf("collision count %d, want 3", b.Collisions())
+	if b.cw != 16 {
+		t.Errorf("saturated window %d, want 16", b.cw)
 	}
 	b.Success()
-	if b.Window() != 4 || b.Collisions() != 0 {
-		t.Errorf("after success window %d collisions %d, want 4/0", b.Window(), b.Collisions())
+	if b.cw != 4 {
+		t.Errorf("after success window %d, want 4", b.cw)
 	}
 	for i := 0; i < 100; i++ {
-		if s := b.Draw(); s < 0 || s >= b.Window() {
-			t.Fatalf("draw %d outside [0,%d)", s, b.Window())
+		if s := b.Draw(); s < 0 || s >= b.cw {
+			t.Fatalf("draw %d outside [0,%d)", s, b.cw)
 		}
 	}
 	if _, err := NewBackoff(nil, 2, 4); err == nil {

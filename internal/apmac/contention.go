@@ -25,10 +25,9 @@ const (
 
 // Backoff is one station's contention state. Not safe for concurrent use.
 type Backoff struct {
-	rng        *rand.Rand
-	cwMin, cw  int
-	cwMax      int
-	collisions int
+	rng       *rand.Rand
+	cwMin, cw int
+	cwMax     int
 }
 
 // NewBackoff returns contention state drawing from rng (required: the seam
@@ -48,16 +47,8 @@ func NewBackoff(rng *rand.Rand, cwMinExp, cwMaxExp uint8) (*Backoff, error) {
 // Draw picks this round's slot: uniform over the current window.
 func (b *Backoff) Draw() int { return b.rng.Intn(b.cw) }
 
-// Window returns the current contention window size in slots.
-func (b *Backoff) Window() int { return b.cw }
-
-// Collisions returns how many consecutive collisions the station has
-// suffered since its last success.
-func (b *Backoff) Collisions() int { return b.collisions }
-
 // Collision doubles the window (saturating at the granted maximum).
 func (b *Backoff) Collision() {
-	b.collisions++
 	if b.cw*2 <= b.cwMax {
 		b.cw *= 2
 	}
@@ -65,7 +56,6 @@ func (b *Backoff) Collision() {
 
 // Success resets the window to the minimum.
 func (b *Backoff) Success() {
-	b.collisions = 0
 	b.cw = b.cwMin
 }
 

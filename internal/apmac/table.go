@@ -43,9 +43,6 @@ type Station struct {
 	LastSeen   time.Time
 	// ARQ is the station's downlink selective-repeat sender.
 	ARQ *mac.ARQSender
-	// Queue counts MPDUs queued but not yet scheduled; the scheduler's
-	// queue-depth input.
-	Queue int
 }
 
 // Table is the association lifecycle: it grants station IDs and bitmap

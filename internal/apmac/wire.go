@@ -67,11 +67,9 @@ const maxByeReason = 120
 // message — kind(1) + token(4) + CSI + FCS(4) — fits one radio data frame.
 const MaxFeedbackBytes = radio.MaxDataPayload - 9
 
-// Msg is a decoded AP MAC message. Fields are populated per Kind; Station
-// is copied from the radio header by the transport.
+// Msg is a decoded AP MAC message. Fields are populated per Kind.
 type Msg struct {
-	Kind    Kind
-	Station uint16
+	Kind Kind
 
 	// Nonce dedupes association retries (Assoc).
 	Nonce uint64

@@ -169,7 +169,7 @@ func TestScrambleDescrambleInvolution(t *testing.T) {
 
 func TestScramblerZeroSeedCoerced(t *testing.T) {
 	s := NewScrambler(0)
-	if s.State() == 0 {
+	if s.state == 0 {
 		t.Error("zero seed must be coerced to nonzero")
 	}
 	seq := s.Sequence(127)
@@ -186,9 +186,9 @@ func TestScramblerZeroSeedCoerced(t *testing.T) {
 
 func TestSequencePreservesState(t *testing.T) {
 	s := NewScrambler(0x5A)
-	before := s.State()
+	before := s.state
 	s.Sequence(100)
-	if s.State() != before {
+	if s.state != before {
 		t.Error("Sequence must not consume state")
 	}
 }

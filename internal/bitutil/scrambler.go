@@ -53,6 +53,3 @@ func (s *Scrambler) Sequence(n int) []byte {
 	s.state = saved
 	return out
 }
-
-// State returns the current 7-bit LFSR state.
-func (s *Scrambler) State() byte { return s.state }

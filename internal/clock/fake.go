@@ -10,6 +10,8 @@ import (
 // Ticker) fire synchronously inside Advance when their deadline is reached,
 // so time-driven code paths run deterministically with no real sleeping.
 // The zero value is not usable; construct with NewFake.
+//
+//mimonet:testonly-ok test seam: NowCalls and BlockUntilWaiters let clock-driven tests synchronise with the code under test
 type Fake struct {
 	mu      sync.Mutex
 	now     time.Time

@@ -41,6 +41,8 @@ func FromRows(rows [][]complex128) *Matrix {
 }
 
 // Identity returns the n×n identity matrix.
+//
+//mimonet:testonly-ok test seam: the sounding, chanest, flight and mumimo tests build ideal channels from it
 func Identity(n int) *Matrix {
 	m := New(n, n)
 	for i := 0; i < n; i++ {
@@ -197,29 +199,6 @@ func (m *Matrix) HermitianInto(dst *Matrix) *Matrix {
 	return dst
 }
 
-// Transpose returns mᵀ without conjugation.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Add returns a+b.
-func Add(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("cmatrix: Add shape mismatch")
-	}
-	out := New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
 // Sub returns a−b.
 func Sub(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
@@ -334,32 +313,9 @@ func (m *Matrix) swapRows(i, j int) {
 	}
 }
 
-// Solve returns x such that m·x = b, via the inverse (matrices here are tiny).
-func (m *Matrix) Solve(b []complex128) ([]complex128, error) {
-	inv, err := m.Inverse()
-	if err != nil {
-		return nil, err
-	}
-	return inv.MulVec(b), nil
-}
-
-// PseudoInverse returns the left Moore-Penrose pseudo-inverse
-// (AᴴA)⁻¹Aᴴ for a tall-or-square full-column-rank matrix. This is the
-// zero-forcing detector matrix.
-func (m *Matrix) PseudoInverse() (*Matrix, error) {
-	if m.Rows < m.Cols {
-		return nil, fmt.Errorf("cmatrix: pseudo-inverse needs rows ≥ cols, got %dx%d", m.Rows, m.Cols)
-	}
-	h := m.Hermitian()
-	gram := Mul(h, m)
-	gi, err := gram.Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("cmatrix: rank-deficient matrix: %w", err)
-	}
-	return Mul(gi, h), nil
-}
-
 // Det returns the determinant via LU decomposition with partial pivoting.
+//
+//mimonet:testonly-ok oracle: the sounding test checks the product of the Gram eigenvalues against it
 func (m *Matrix) Det() (complex128, error) {
 	if m.Rows != m.Cols {
 		return 0, fmt.Errorf("cmatrix: determinant of non-square matrix")
@@ -398,6 +354,8 @@ func (m *Matrix) Det() (complex128, error) {
 }
 
 // ApproxEqual reports whether a and b agree element-wise within tol.
+//
+//mimonet:testonly-ok oracle: the chanest tests compare estimates with the true channel through it
 func ApproxEqual(a, b *Matrix, tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false

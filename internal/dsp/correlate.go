@@ -2,31 +2,6 @@ package dsp
 
 import "math/cmplx"
 
-// CrossCorrelate computes the sliding cross-correlation of x against the
-// reference ref:
-//
-//	out[k] = Σ_{i} x[k+i] * conj(ref[i])
-//
-// for k in [0, len(x)-len(ref)]. It returns a freshly allocated slice of
-// length len(x)-len(ref)+1, or nil if ref is longer than x or empty. The
-// receiver uses this against the known LTF sequence for fine timing.
-func CrossCorrelate(x, ref []complex128) []complex128 {
-	n := len(x) - len(ref) + 1
-	if n <= 0 || len(ref) == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var s complex128
-		win := x[k : k+len(ref)]
-		for i, r := range ref {
-			s += win[i] * cmplx.Conj(r)
-		}
-		out[k] = s
-	}
-	return out
-}
-
 // AutoCorrelator computes a running lag-L autocorrelation and power estimate
 // over a window of W samples:
 //
@@ -40,7 +15,6 @@ func CrossCorrelate(x, ref []complex128) []complex128 {
 // The zero value is not usable; create one with NewAutoCorrelator.
 type AutoCorrelator struct {
 	lag    int
-	window int
 	buf    []complex128 // delay line of the last window+lag samples
 	head   int
 	filled int
@@ -55,9 +29,8 @@ func NewAutoCorrelator(lag, window int) *AutoCorrelator {
 		panic("dsp: AutoCorrelator lag and window must be positive")
 	}
 	return &AutoCorrelator{
-		lag:    lag,
-		window: window,
-		buf:    make([]complex128, lag+window),
+		lag: lag,
+		buf: make([]complex128, lag+window),
 	}
 }
 
@@ -99,9 +72,3 @@ func (a *AutoCorrelator) Push(x complex128) (corr complex128, power float64) {
 // Primed reports whether the delay line is full, i.e. the sums cover a
 // complete window.
 func (a *AutoCorrelator) Primed() bool { return a.filled == len(a.buf) }
-
-// Lag returns the correlation lag L.
-func (a *AutoCorrelator) Lag() int { return a.lag }
-
-// Window returns the averaging window W.
-func (a *AutoCorrelator) Window() int { return a.window }

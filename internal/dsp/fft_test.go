@@ -216,20 +216,6 @@ func TestFFTImpulseAndTone(t *testing.T) {
 	}
 }
 
-func TestFFTShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	y := make([]complex128, 4)
-	FFTShift(y, x)
-	want := []complex128{2, 3, 0, 1}
-	if !approxEqualVec(y, want, 0) {
-		t.Errorf("FFTShift = %v, want %v", y, want)
-	}
-	FFTShift(x, x) // in place
-	if !approxEqualVec(x, want, 0) {
-		t.Errorf("in-place FFTShift = %v, want %v", x, want)
-	}
-}
-
 func TestFFTLengthMismatchPanics(t *testing.T) {
 	f := MustFFT(8)
 	defer func() {

@@ -1,12 +1,11 @@
 package dsp
 
-import (
-	"math"
-	"math/cmplx"
-)
+import "math/cmplx"
 
 // Power returns the mean squared magnitude of x, i.e. the average signal
 // power. It returns 0 for an empty slice.
+//
+//mimonet:testonly-ok oracle: the channel and preamble tests measure signal power with it
 func Power(x []complex128) float64 {
 	if len(x) == 0 {
 		return 0
@@ -24,97 +23,12 @@ func Energy(x []complex128) float64 {
 	return e
 }
 
-// RMS returns the root-mean-square magnitude of x.
-func RMS(x []complex128) float64 { return math.Sqrt(Power(x)) }
-
 // Scale multiplies every element of x by the real factor a, in place.
 func Scale(x []complex128, a float64) {
 	c := complex(a, 0)
 	for i := range x {
 		x[i] *= c
 	}
-}
-
-// ScaleC multiplies every element of x by the complex factor a, in place.
-func ScaleC(x []complex128, a complex128) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
-// Add accumulates src into dst element-wise. The slices must have equal
-// length.
-func Add(dst, src []complex128) {
-	if len(dst) != len(src) {
-		panic("dsp: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] += src[i]
-	}
-}
-
-// Mul writes the element-wise product a*b into dst. All slices must have
-// equal length; dst may alias a or b.
-func Mul(dst, a, b []complex128) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("dsp: Mul length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-}
-
-// MulConj writes a[i]*conj(b[i]) into dst. All slices must have equal length;
-// dst may alias a or b. This is the kernel of every correlator in the
-// receiver.
-func MulConj(dst, a, b []complex128) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("dsp: MulConj length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] * cmplx.Conj(b[i])
-	}
-}
-
-// DotConj returns Σ a[i]*conj(b[i]), the complex inner product.
-func DotConj(a, b []complex128) complex128 {
-	if len(a) != len(b) {
-		panic("dsp: DotConj length mismatch")
-	}
-	var s complex128
-	for i := range a {
-		s += a[i] * cmplx.Conj(b[i])
-	}
-	return s
-}
-
-// MaxAbsIndex returns the index and magnitude of the largest-magnitude
-// element of x. It returns (-1, 0) for an empty slice.
-func MaxAbsIndex(x []complex128) (int, float64) {
-	best, bestMag := -1, 0.0
-	for i, v := range x {
-		m := real(v)*real(v) + imag(v)*imag(v)
-		if best == -1 || m > bestMag {
-			best, bestMag = i, m
-		}
-	}
-	if best == -1 {
-		return -1, 0
-	}
-	return best, math.Sqrt(bestMag)
-}
-
-// MaxFloatIndex returns the index of the largest element of x, or -1 if x is
-// empty.
-func MaxFloatIndex(x []float64) int {
-	best := -1
-	bestV := math.Inf(-1)
-	for i, v := range x {
-		if v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
 }
 
 // Rotate applies a progressive phase rotation exp(j·(phase0 + i·phaseStep))
@@ -128,27 +42,4 @@ func Rotate(x []complex128, phase0, phaseStep float64) {
 		x[i] *= rot
 		rot *= step
 	}
-}
-
-// DB converts a linear power ratio to decibels. Nonpositive input maps to
-// -Inf.
-func DB(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(p)
-}
-
-// FromDB converts decibels to a linear power ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/10) }
-
-// WrapPhase wraps an angle into (-π, π].
-func WrapPhase(p float64) float64 {
-	for p > math.Pi {
-		p -= 2 * math.Pi
-	}
-	for p <= -math.Pi {
-		p += 2 * math.Pi
-	}
-	return p
 }

@@ -15,9 +15,6 @@ func TestPowerEnergyRMS(t *testing.T) {
 	if got := Power(x); math.Abs(got-1) > eps {
 		t.Errorf("Power = %g, want 1", got)
 	}
-	if got := RMS(x); math.Abs(got-1) > eps {
-		t.Errorf("RMS = %g, want 1", got)
-	}
 	if got := Power(nil); got != 0 {
 		t.Errorf("Power(nil) = %g, want 0", got)
 	}
@@ -28,53 +25,6 @@ func TestScaleAddMul(t *testing.T) {
 	Scale(x, 2)
 	if x[0] != 2+2i || x[1] != 4 {
 		t.Errorf("Scale: got %v", x)
-	}
-	ScaleC(x, 1i)
-	if !approxEqualC(x[0], -2+2i, eps) || !approxEqualC(x[1], 4i, eps) {
-		t.Errorf("ScaleC: got %v", x)
-	}
-	a := []complex128{1, 2}
-	Add(a, []complex128{10, 20})
-	if a[0] != 11 || a[1] != 22 {
-		t.Errorf("Add: got %v", a)
-	}
-	dst := make([]complex128, 2)
-	Mul(dst, []complex128{1i, 2}, []complex128{1i, 3})
-	if dst[0] != -1 || dst[1] != 6 {
-		t.Errorf("Mul: got %v", dst)
-	}
-	MulConj(dst, []complex128{1i, 2}, []complex128{1i, 3})
-	if dst[0] != 1 || dst[1] != 6 {
-		t.Errorf("MulConj: got %v", dst)
-	}
-}
-
-func TestDotConj(t *testing.T) {
-	a := []complex128{1 + 1i, 2}
-	b := []complex128{1 - 1i, 1i}
-	// (1+1i)*conj(1-1i) + 2*conj(1i) = (1+1i)(1+1i) + 2(-1i) = 2i - 2i = 0
-	if got := DotConj(a, b); !approxEqualC(got, 0, eps) {
-		t.Errorf("DotConj = %v, want 0", got)
-	}
-}
-
-func TestMaxAbsIndex(t *testing.T) {
-	idx, mag := MaxAbsIndex([]complex128{1, 3i, -2})
-	if idx != 1 || math.Abs(mag-3) > eps {
-		t.Errorf("MaxAbsIndex = (%d, %g), want (1, 3)", idx, mag)
-	}
-	idx, mag = MaxAbsIndex(nil)
-	if idx != -1 || mag != 0 {
-		t.Errorf("MaxAbsIndex(nil) = (%d, %g)", idx, mag)
-	}
-}
-
-func TestMaxFloatIndex(t *testing.T) {
-	if got := MaxFloatIndex([]float64{-1, 5, 2}); got != 1 {
-		t.Errorf("MaxFloatIndex = %d, want 1", got)
-	}
-	if got := MaxFloatIndex(nil); got != -1 {
-		t.Errorf("MaxFloatIndex(nil) = %d, want -1", got)
 	}
 }
 
@@ -91,39 +41,6 @@ func TestRotateImposesCFO(t *testing.T) {
 		want := cmplx.Exp(complex(0, 0.5+step*float64(i)))
 		if !approxEqualC(x[i], want, 1e-9) {
 			t.Fatalf("Rotate sample %d = %v, want %v", i, x[i], want)
-		}
-	}
-}
-
-func TestDBConversions(t *testing.T) {
-	if got := DB(100); math.Abs(got-20) > eps {
-		t.Errorf("DB(100) = %g, want 20", got)
-	}
-	if got := FromDB(30); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("FromDB(30) = %g, want 1000", got)
-	}
-	if !math.IsInf(DB(0), -1) {
-		t.Error("DB(0) should be -Inf")
-	}
-	for db := -20.0; db <= 40; db += 7 {
-		if got := DB(FromDB(db)); math.Abs(got-db) > 1e-9 {
-			t.Errorf("DB(FromDB(%g)) = %g", db, got)
-		}
-	}
-}
-
-func TestWrapPhase(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{0, 0},
-		{math.Pi, math.Pi},
-		{-math.Pi, math.Pi},
-		{3 * math.Pi, math.Pi},
-		{2 * math.Pi, 0},
-		{-2.5 * math.Pi, -0.5 * math.Pi},
-	}
-	for _, c := range cases {
-		if got := WrapPhase(c.in); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("WrapPhase(%g) = %g, want %g", c.in, got, c.want)
 		}
 	}
 }
@@ -183,33 +100,5 @@ func TestAutoCorrelatorDetectsPeriodicity(t *testing.T) {
 	}
 	if mean := sum / float64(count); mean > 0.5 {
 		t.Errorf("noise metric mean = %g, want well below 1", mean)
-	}
-}
-
-func TestCrossCorrelatePeaksAtOffset(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	ref := randVec(r, 32)
-	x := make([]complex128, 128)
-	for i := range x {
-		x[i] = complex(0.01*r.NormFloat64(), 0.01*r.NormFloat64())
-	}
-	const offset = 40
-	copy(x[offset:], ref)
-	out := CrossCorrelate(x, ref)
-	if len(out) != len(x)-len(ref)+1 {
-		t.Fatalf("output length %d", len(out))
-	}
-	idx, _ := MaxAbsIndex(out)
-	if idx != offset {
-		t.Errorf("correlation peak at %d, want %d", idx, offset)
-	}
-}
-
-func TestCrossCorrelateDegenerate(t *testing.T) {
-	if out := CrossCorrelate(make([]complex128, 3), make([]complex128, 5)); out != nil {
-		t.Error("ref longer than x should return nil")
-	}
-	if out := CrossCorrelate(make([]complex128, 3), nil); out != nil {
-		t.Error("empty ref should return nil")
 	}
 }

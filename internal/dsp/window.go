@@ -2,47 +2,15 @@ package dsp
 
 import "math"
 
-// Hamming returns an n-point Hamming window.
-func Hamming(n int) []float64 {
-	return cosineWindow(n, 0.54, 0.46)
-}
-
 // Hann returns an n-point Hann window.
 func Hann(n int) []float64 {
-	return cosineWindow(n, 0.5, 0.5)
-}
-
-// Blackman returns an n-point Blackman window.
-func Blackman(n int) []float64 {
 	w := make([]float64, n)
 	if n == 1 {
 		w[0] = 1
 		return w
 	}
 	for i := range w {
-		x := 2 * math.Pi * float64(i) / float64(n-1)
-		w[i] = 0.42 - 0.5*math.Cos(x) + 0.08*math.Cos(2*x)
-	}
-	return w
-}
-
-// Rectangular returns an n-point all-ones window.
-func Rectangular(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
-func cosineWindow(n int, a, b float64) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = a - b*math.Cos(2*math.Pi*float64(i)/float64(n-1))
+		w[i] = 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/float64(n-1))
 	}
 	return w
 }

@@ -1,67 +1,14 @@
-// Package est implements the fine-grained SNR estimation the paper adds to
-// its transceiver: a data-aided estimator anchored on the repeated long
-// training symbols, an EVM-based estimator over equalized data symbols, and
-// a blind second/fourth-moment (M2M4) estimator that needs no reference.
+// Package est implements the blind second/fourth-moment (M2M4) SNR
+// estimator the paper's fine-grained SNR reporting compares against the
+// data-aided estimate. That data-aided estimate, the L-LTF split of
+// chanest.EstimateLegacy, is the receiver's own, and the EVM it reports
+// is metrics.EVM.
 package est
 
 import (
 	"fmt"
 	"math"
 )
-
-// DataAided estimates the linear SNR from two received repetitions of the
-// same reference block (e.g. the two L-LTF long symbols, in time or
-// frequency domain). The half-sum estimates signal plus half the noise, the
-// half-difference is pure noise — the classic split that makes the estimate
-// unbiased at any modulation.
-func DataAided(rep1, rep2 []complex128) (float64, error) {
-	if len(rep1) != len(rep2) || len(rep1) == 0 {
-		return 0, fmt.Errorf("est: repetitions must be equal nonzero length")
-	}
-	var sum, diff float64
-	for i := range rep1 {
-		s := (rep1[i] + rep2[i]) / 2
-		d := (rep1[i] - rep2[i]) / 2
-		sum += real(s)*real(s) + imag(s)*imag(s)
-		diff += real(d)*real(d) + imag(d)*imag(d)
-	}
-	n := float64(len(rep1))
-	noise := diff / n // E|d|² = σ²/2 per rep-average... see below
-	// s = x + (n1+n2)/2 → E|s|² = P + σ²/2; d = (n1−n2)/2 → E|d|² = σ²/2.
-	sig := sum/n - noise
-	if noise <= 0 {
-		return math.Inf(1), nil
-	}
-	if sig < 0 {
-		sig = 0
-	}
-	// SNR = P / σ² with σ² = 2·E|d|².
-	return sig / (2 * noise), nil
-}
-
-// EVM computes the error vector magnitude of equalized symbols against
-// their decided (or known) reference points, returning the RMS EVM as a
-// linear ratio (multiply by 100 for percent) and the implied SNR estimate
-// 1/EVM².
-func EVM(rx, ref []complex128) (evm, snr float64, err error) {
-	if len(rx) != len(ref) || len(rx) == 0 {
-		return 0, 0, fmt.Errorf("est: rx and ref must be equal nonzero length")
-	}
-	var errPow, refPow float64
-	for i := range rx {
-		d := rx[i] - ref[i]
-		errPow += real(d)*real(d) + imag(d)*imag(d)
-		refPow += real(ref[i])*real(ref[i]) + imag(ref[i])*imag(ref[i])
-	}
-	if refPow == 0 {
-		return 0, 0, fmt.Errorf("est: zero reference power")
-	}
-	evm = math.Sqrt(errPow / refPow)
-	if evm == 0 {
-		return 0, math.Inf(1), nil
-	}
-	return evm, 1 / (evm * evm), nil
-}
 
 // M2M4 is the blind second/fourth-moment SNR estimator
 // (Pauluzzi & Beaulieu, 1995) for constant-modulus constellations
@@ -96,40 +43,6 @@ func M2M4(rx []complex128) (float64, error) {
 	return ps / pn, nil
 }
 
-// PilotSNR estimates the SNR from received pilots and their expected values
-// (channel-weighted), accumulating over symbols: signal power from the
-// expectation, noise from the residual. Call Add per pilot observation and
-// SNR when done.
-type PilotSNR struct {
-	sig, noise float64
-	n          int
-}
-
-// Add accumulates one pilot observation against its expected value.
-func (p *PilotSNR) Add(rx, expected complex128) {
-	d := rx - expected
-	p.sig += real(expected)*real(expected) + imag(expected)*imag(expected)
-	p.noise += real(d)*real(d) + imag(d)*imag(d)
-	p.n++
-}
-
-// Count returns the number of accumulated observations.
-func (p *PilotSNR) Count() int { return p.n }
-
-// SNR returns the accumulated linear SNR estimate.
-func (p *PilotSNR) SNR() (float64, error) {
-	if p.n == 0 {
-		return 0, fmt.Errorf("est: no pilot observations")
-	}
-	if p.noise == 0 {
-		return math.Inf(1), nil
-	}
-	return p.sig / p.noise, nil
-}
-
-// Reset clears the accumulator.
-func (p *PilotSNR) Reset() { p.sig, p.noise, p.n = 0, 0, 0 }
-
 // DB converts a linear SNR to decibels (−Inf for nonpositive input).
 func DB(snr float64) float64 {
 	if snr <= 0 {
@@ -137,18 +50,3 @@ func DB(snr float64) float64 {
 	}
 	return 10 * math.Log10(snr)
 }
-
-// NoiseVarFromSymbols measures the complex noise variance of equalized
-// symbols against reference decisions, for feeding soft demappers.
-func NoiseVarFromSymbols(rx, ref []complex128) (float64, error) {
-	if len(rx) != len(ref) || len(rx) == 0 {
-		return 0, fmt.Errorf("est: rx and ref must be equal nonzero length")
-	}
-	var acc float64
-	for i := range rx {
-		acc += sqAbs(rx[i] - ref[i])
-	}
-	return acc / float64(len(rx)), nil
-}
-
-func sqAbs(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }

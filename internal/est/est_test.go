@@ -26,69 +26,6 @@ func qpskBlock(r *rand.Rand, n int) []complex128 {
 	return out
 }
 
-func TestDataAidedUnbiasedAcrossSNR(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for _, snrDB := range []float64{0, 5, 10, 15, 20, 25, 30} {
-		var acc float64
-		const trials = 40
-		for i := 0; i < trials; i++ {
-			x := qpskBlock(r, 52)
-			r1 := awgn(r, x, snrDB)
-			r2 := awgn(r, x, snrDB)
-			snr, err := DataAided(r1, r2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			acc += snr
-		}
-		gotDB := DB(acc / trials)
-		if math.Abs(gotDB-snrDB) > 1.0 {
-			t.Errorf("true %g dB: estimated %g dB", snrDB, gotDB)
-		}
-	}
-}
-
-func TestDataAidedValidation(t *testing.T) {
-	if _, err := DataAided(nil, nil); err == nil {
-		t.Error("empty input should fail")
-	}
-	if _, err := DataAided(make([]complex128, 3), make([]complex128, 4)); err == nil {
-		t.Error("mismatched lengths should fail")
-	}
-	// Identical repetitions → infinite SNR.
-	x := []complex128{1, 2, 3}
-	snr, err := DataAided(x, x)
-	if err != nil || !math.IsInf(snr, 1) {
-		t.Errorf("identical reps: snr=%g err=%v", snr, err)
-	}
-}
-
-func TestEVM(t *testing.T) {
-	ref := []complex128{1, 1i, -1, -1i}
-	rx := []complex128{1.1, 1i, -1, -1i}
-	evm, snr, err := EVM(rx, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Sqrt(0.01 / 4)
-	if math.Abs(evm-want) > 1e-12 {
-		t.Errorf("EVM = %g, want %g", evm, want)
-	}
-	if math.Abs(snr-1/(want*want)) > 1e-6 {
-		t.Errorf("SNR = %g", snr)
-	}
-	if _, _, err := EVM(nil, nil); err == nil {
-		t.Error("empty should fail")
-	}
-	if _, _, err := EVM([]complex128{1}, []complex128{0}); err == nil {
-		t.Error("zero reference power should fail")
-	}
-	_, snr, err = EVM(ref, ref)
-	if err != nil || !math.IsInf(snr, 1) {
-		t.Error("perfect EVM should give infinite SNR")
-	}
-}
-
 func TestM2M4TracksQPSK(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, snrDB := range []float64{5, 10, 15, 20} {
@@ -149,47 +86,6 @@ func TestM2M4Degenerate(t *testing.T) {
 	}
 	if snr > 0.5 {
 		t.Errorf("pure noise: M2M4 = %g, want ≈ 0", snr)
-	}
-}
-
-func TestPilotSNR(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	var p PilotSNR
-	if _, err := p.SNR(); err == nil {
-		t.Error("empty accumulator should fail")
-	}
-	const snrDB = 12.0
-	sigma := math.Sqrt(math.Pow(10, -snrDB/10) / 2)
-	for i := 0; i < 5000; i++ {
-		exp := complex(1, 0)
-		rx := exp + complex(r.NormFloat64()*sigma, r.NormFloat64()*sigma)
-		p.Add(rx, exp)
-	}
-	if p.Count() != 5000 {
-		t.Errorf("Count = %d", p.Count())
-	}
-	snr, err := p.SNR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(DB(snr)-snrDB) > 0.5 {
-		t.Errorf("PilotSNR = %g dB, want %g", DB(snr), snrDB)
-	}
-	p.Reset()
-	if p.Count() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestNoiseVarFromSymbols(t *testing.T) {
-	rx := []complex128{1.1, 2}
-	ref := []complex128{1, 2}
-	v, err := NoiseVarFromSymbols(rx, ref)
-	if err != nil || math.Abs(v-0.005) > 1e-12 {
-		t.Errorf("NoiseVar = %g, err %v", v, err)
-	}
-	if _, err := NoiseVarFromSymbols(nil, nil); err == nil {
-		t.Error("empty should fail")
 	}
 }
 

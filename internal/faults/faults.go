@@ -88,9 +88,6 @@ func NewInjector(sc Scenario, seed int64) *Injector {
 	return &Injector{rng: rand.New(rand.NewSource(seed)), sc: sc}
 }
 
-// Scenario returns the (defaulted) scenario this injector runs.
-func (inj *Injector) Scenario() Scenario { return inj.sc }
-
 // Counts returns a snapshot of the faults injected so far.
 func (inj *Injector) Counts() CountsSnapshot { return inj.counts.Snapshot() }
 
@@ -180,13 +177,6 @@ func (inj *Injector) ApplyBurst(burst [][]complex128) [][]complex128 {
 		inj.counts.timingJumps.Add(1)
 	}
 	return burst
-}
-
-// ApplyChunk applies the scenario's sample-level faults to one
-// single-stream chunk.
-func (inj *Injector) ApplyChunk(c []complex128) []complex128 {
-	out := inj.ApplyBurst([][]complex128{c})
-	return out[0]
 }
 
 // corruptSIG negates random samples across the L-SIG and HT-SIG symbols so

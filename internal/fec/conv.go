@@ -161,20 +161,3 @@ func codedLen(n int, rate Rate) int {
 	}
 	return total
 }
-
-// CodedLen is the exported form of codedLen for the PHY's symbol budgeting.
-func CodedLen(dataBits int, rate Rate) int { return codedLen(dataBits, rate) }
-
-// DataLen returns the number of data bits that produce codedBits coded bits
-// at the given rate, or an error if codedBits does not correspond to a whole
-// number of periods.
-func DataLen(codedBits int, rate Rate) (int, error) {
-	num, den := rate.Fraction()
-	// codedBits : dataBits = den : num·? — for the mother code 2 coded per
-	// data bit; at rate num/den, den coded bits carry num·? ... simplest:
-	// dataBits = codedBits * num / den.
-	if codedBits*num%den != 0 {
-		return 0, fmt.Errorf("fec: %d coded bits is not a whole block at rate %v", codedBits, rate)
-	}
-	return codedBits * num / den, nil
-}

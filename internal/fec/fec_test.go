@@ -16,6 +16,16 @@ func randBits(r *rand.Rand, n int) []byte {
 	return b
 }
 
+// hardToLLR maps hard bits (0/1, one per byte) to unit-confidence LLRs, the
+// input a hard-decision receiver would hand DecodeSoft.
+func hardToLLR(bits []byte) []float64 {
+	llr := make([]float64, len(bits))
+	for i, b := range bits {
+		llr[i] = 1 - 2*float64(b&1)
+	}
+	return llr
+}
+
 // addTail appends the 6 zero tail bits that terminate the trellis.
 func addTail(bits []byte) []byte {
 	return append(append([]byte(nil), bits...), make([]byte, ConstraintLength-1)...)
@@ -59,16 +69,9 @@ func TestCodedLenMatchesRate(t *testing.T) {
 		// Any multiple of the period (== num at these rates... period is
 		// len(pattern)): use a block of 30 data bits, divisible by 1,2,3,5.
 		n := 30
-		if got := CodedLen(n, r); got != n*den/num {
-			t.Errorf("rate %v: CodedLen(%d) = %d, want %d", r, n, got, n*den/num)
+		if got := codedLen(n, r); got != n*den/num {
+			t.Errorf("rate %v: codedLen(%d) = %d, want %d", r, n, got, n*den/num)
 		}
-		d, err := DataLen(CodedLen(n, r), r)
-		if err != nil || d != n {
-			t.Errorf("rate %v: DataLen round trip = %d, %v", r, d, err)
-		}
-	}
-	if _, err := DataLen(7, Rate1_2); err == nil {
-		t.Error("DataLen(7, 1/2) should error")
 	}
 }
 
@@ -77,8 +80,8 @@ func TestEncodeLenMatchesCodedLen(t *testing.T) {
 	for _, rate := range []Rate{Rate1_2, Rate2_3, Rate3_4, Rate5_6} {
 		for _, n := range []int{30, 60, 120, 600} {
 			got := Encode(randBits(r, n), rate)
-			if len(got) != CodedLen(n, rate) {
-				t.Errorf("rate %v n=%d: encoded %d bits, CodedLen says %d", rate, n, len(got), CodedLen(n, rate))
+			if len(got) != codedLen(n, rate) {
+				t.Errorf("rate %v n=%d: encoded %d bits, codedLen says %d", rate, n, len(got), codedLen(n, rate))
 			}
 		}
 	}
@@ -91,7 +94,7 @@ func TestViterbiNoiselessAllRates(t *testing.T) {
 		data := randBits(r, 300)
 		padded := addTail(data)
 		coded := Encode(padded, rate)
-		llr := HardToLLR(nil, coded)
+		llr := hardToLLR(coded)
 		depunct, err := Depuncture(llr, len(padded), rate)
 		if err != nil {
 			t.Fatalf("rate %v: %v", rate, err)
@@ -112,7 +115,7 @@ func TestViterbiHardDecode(t *testing.T) {
 	data := randBits(r, 200)
 	padded := addTail(data)
 	coded := Encode(padded, Rate1_2)
-	decoded, err := v.DecodeHard(coded, true)
+	decoded, err := v.DecodeSoft(hardToLLR(coded), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +138,7 @@ func TestViterbiCorrectsErrors(t *testing.T) {
 			pos := k*(len(coded)/4) + r.Intn(len(coded)/8)
 			coded[pos] ^= 1
 		}
-		decoded, err := v.DecodeHard(coded, true)
+		decoded, err := v.DecodeSoft(hardToLLR(coded), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +156,7 @@ func TestViterbiSoftBeatsHardWithConfidence(t *testing.T) {
 	data := randBits(r, 100)
 	padded := addTail(data)
 	coded := Encode(padded, Rate1_2)
-	llr := HardToLLR(nil, coded)
+	llr := hardToLLR(coded)
 	// Inflict a burst of 6 flips but mark them as very low confidence.
 	for i := 40; i < 46; i++ {
 		llr[i] = -llr[i] * 0.01
@@ -172,7 +175,7 @@ func TestViterbiUnterminated(t *testing.T) {
 	v := NewViterbi()
 	data := randBits(r, 120)
 	coded := Encode(data, Rate1_2)
-	decoded, err := v.DecodeHard(coded, false)
+	decoded, err := v.DecodeSoft(hardToLLR(coded), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +209,7 @@ func TestEncodeDecodePropertyAllRates(t *testing.T) {
 		data := randBits(r, n)
 		padded := addTail(data)
 		coded := Encode(padded, rate)
-		llr := HardToLLR(nil, coded)
+		llr := hardToLLR(coded)
 		dep, err := Depuncture(llr, len(padded), rate)
 		if err != nil {
 			return false
@@ -227,7 +230,7 @@ func BenchmarkViterbiRate12_1000bits(b *testing.B) {
 	v := NewViterbi()
 	data := addTail(randBits(r, 1000))
 	coded := Encode(data, Rate1_2)
-	llr := HardToLLR(nil, coded)
+	llr := hardToLLR(coded)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(data)) / 8)
 	for i := 0; i < b.N; i++ {
@@ -366,7 +369,7 @@ func TestViterbiReserveAvoidsDecodeAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	data := addTail(randBits(r, 4000))
 	coded := Encode(data, Rate1_2)
-	llr := HardToLLR(nil, coded)
+	llr := hardToLLR(coded)
 	v := NewViterbi()
 	v.Reserve(len(data))
 	dst := make([]byte, len(data))

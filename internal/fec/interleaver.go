@@ -11,9 +11,9 @@ import "fmt"
 //     N_CBPSS = 52·N_BPSCS bits, two permutations with 13 columns plus the
 //     third frequency-rotation permutation indexed by the spatial stream.
 //
-// Interleave and Deinterleave are exact inverses; the table is computed once
-// at construction. For soft-decision reception, DeinterleaveLLR applies the
-// same inverse permutation to float values.
+// The table is computed once at construction. The receiver, which works on
+// soft decisions, applies the inverse permutation to float values with
+// DeinterleaveLLR.
 type Interleaver struct {
 	perm []int // perm[k] = output position of input bit k
 	inv  []int
@@ -101,23 +101,12 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// BlockSize returns the interleaver block length (one OFDM symbol of one
-// spatial stream).
-func (il *Interleaver) BlockSize() int { return len(il.perm) }
-
 // Interleave permutes one block of bits into dst. dst and src must both have
-// length BlockSize and must not alias.
+// the block length (one OFDM symbol of one spatial stream) and must not
+// alias.
 func (il *Interleaver) Interleave(dst, src []byte) {
 	il.checkLen(len(dst), len(src))
 	for k, p := range il.perm {
-		dst[p] = src[k]
-	}
-}
-
-// Deinterleave applies the inverse permutation.
-func (il *Interleaver) Deinterleave(dst, src []byte) {
-	il.checkLen(len(dst), len(src))
-	for k, p := range il.inv {
 		dst[p] = src[k]
 	}
 }

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// deinterleave is the test oracle for Interleave: the inverse permutation
+// applied straight from the forward table, independent of the inverse table
+// DeinterleaveLLR walks.
+func deinterleave(il *Interleaver, dst, src []byte) {
+	for k, p := range il.perm {
+		dst[k] = src[p]
+	}
+}
+
 func TestInterleaverRoundTripLegacy(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	for _, nbpsc := range []int{1, 2, 4, 6} {
@@ -14,14 +23,14 @@ func TestInterleaverRoundTripLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if il.BlockSize() != 48*nbpsc {
-			t.Errorf("nbpsc=%d: block size %d", nbpsc, il.BlockSize())
+		if len(il.perm) != 48*nbpsc {
+			t.Errorf("nbpsc=%d: block size %d", nbpsc, len(il.perm))
 		}
-		src := randBits(r, il.BlockSize())
-		mid := make([]byte, il.BlockSize())
-		out := make([]byte, il.BlockSize())
+		src := randBits(r, len(il.perm))
+		mid := make([]byte, len(il.perm))
+		out := make([]byte, len(il.perm))
 		il.Interleave(mid, src)
-		il.Deinterleave(out, mid)
+		deinterleave(il, out, mid)
 		if !bytes.Equal(out, src) {
 			t.Errorf("nbpsc=%d: round trip failed", nbpsc)
 		}
@@ -37,14 +46,14 @@ func TestInterleaverRoundTripHT(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if il.BlockSize() != 52*nbpscs {
-					t.Errorf("block size %d", il.BlockSize())
+				if len(il.perm) != 52*nbpscs {
+					t.Errorf("block size %d", len(il.perm))
 				}
-				src := randBits(r, il.BlockSize())
-				mid := make([]byte, il.BlockSize())
-				out := make([]byte, il.BlockSize())
+				src := randBits(r, len(il.perm))
+				mid := make([]byte, len(il.perm))
+				out := make([]byte, len(il.perm))
 				il.Interleave(mid, src)
-				il.Deinterleave(out, mid)
+				deinterleave(il, out, mid)
 				if !bytes.Equal(out, src) {
 					t.Errorf("nbpscs=%d nss=%d iss=%d: round trip failed", nbpscs, nss, iss)
 				}
@@ -58,11 +67,11 @@ func TestInterleaverIsActuallyPermuting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := make([]byte, il.BlockSize())
+	src := make([]byte, len(il.perm))
 	for i := range src {
 		src[i] = byte(i % 2)
 	}
-	dst := make([]byte, il.BlockSize())
+	dst := make([]byte, len(il.perm))
 	il.Interleave(dst, src)
 	if bytes.Equal(dst, src) {
 		t.Error("interleaver left a nontrivial block unchanged")
@@ -74,7 +83,7 @@ func TestHTStreamRotationDiffers(t *testing.T) {
 	// is the entire point of the third permutation.
 	il0, _ := NewHTInterleaver(2, 2, 0)
 	il1, _ := NewHTInterleaver(2, 2, 1)
-	src := make([]byte, il0.BlockSize())
+	src := make([]byte, len(il0.perm))
 	src[0] = 1
 	a := make([]byte, len(src))
 	b := make([]byte, len(src))
@@ -148,7 +157,7 @@ func TestDeinterleaveLLRMatchesBits(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	prop := func(seed int64) bool {
 		_ = seed
-		bits := randBits(r, il.BlockSize())
+		bits := randBits(r, len(il.perm))
 		llr := make([]float64, len(bits))
 		inter := make([]byte, len(bits))
 		il.Interleave(inter, bits)
@@ -161,7 +170,7 @@ func TestDeinterleaveLLRMatchesBits(t *testing.T) {
 		}
 		outBits := make([]byte, len(bits))
 		outLLR := make([]float64, len(bits))
-		il.Deinterleave(outBits, inter)
+		deinterleave(il, outBits, inter)
 		il.DeinterleaveLLR(outLLR, llr)
 		for i := range outBits {
 			hard := byte(0)

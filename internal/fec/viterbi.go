@@ -25,8 +25,6 @@ type Viterbi struct {
 	// 1500-byte packet's 12k-step traceback stays under 100 KiB and cache
 	// resident, where a byte-per-state layout would stream ~770 KiB.
 	survivors []uint64
-	// hardLLR is the DecodeHard scratch mapping coded bits to ±1 LLRs.
-	hardLLR []float64
 }
 
 //go:generate go run ./internal/acsgen
@@ -165,14 +163,6 @@ func (v *Viterbi) DecodeSoftInto(dst []byte, llr []float64, terminated bool) ([]
 	return bits, nil
 }
 
-// DecodeHard decodes hard-decision coded bits (0/1, one per byte) by mapping
-// them to unit-confidence LLRs. The scratch LLR buffer is reused across
-// calls.
-func (v *Viterbi) DecodeHard(coded []byte, terminated bool) ([]byte, error) {
-	v.hardLLR = HardToLLR(v.hardLLR, coded)
-	return v.DecodeSoft(v.hardLLR, terminated)
-}
-
 // Reserve pre-sizes the decoder's metric and traceback storage for a decode
 // of the given number of trellis steps, so the subsequent DecodeSoftInto
 // performs no allocation. The PHY calls this with the SIG-declared packet
@@ -188,21 +178,4 @@ func (v *Viterbi) ensureTraceback(steps int) {
 		v.survivors = make([]uint64, steps)
 	}
 	v.survivors = v.survivors[:steps]
-}
-
-// HardToLLR converts hard bits to ±1 LLRs into dst (allocating if dst is
-// short), exposed for the PHY's hard-decision receive path.
-func HardToLLR(dst []float64, bits []byte) []float64 {
-	if cap(dst) < len(bits) {
-		dst = make([]float64, len(bits))
-	}
-	dst = dst[:len(bits)]
-	for i, b := range bits {
-		if b&1 == 0 {
-			dst[i] = 1
-		} else {
-			dst[i] = -1
-		}
-	}
-	return dst
 }

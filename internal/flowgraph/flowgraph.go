@@ -49,7 +49,6 @@ type Graph struct {
 	edges   map[edgeKey]chan Chunk
 	inUsed  map[portKey]bool
 	outUsed map[portKey]bool
-	depth   int
 	started bool
 	policy  Policy
 	health  map[string]*metrics.Health
@@ -67,26 +66,13 @@ type portKey struct {
 	port int
 }
 
-// New returns an empty graph with the default buffer depth.
+// New returns an empty graph.
 func New() *Graph {
 	return &Graph{
 		edges:   make(map[edgeKey]chan Chunk),
 		inUsed:  make(map[portKey]bool),
 		outUsed: make(map[portKey]bool),
-		depth:   DefaultBufferDepth,
 	}
-}
-
-// SetBufferDepth changes the per-edge channel capacity for subsequently
-// added connections. Must be called before Run.
-func (g *Graph) SetBufferDepth(depth int) error {
-	if depth < 1 {
-		return fmt.Errorf("flowgraph: buffer depth %d < 1", depth)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.depth = depth
-	return nil
 }
 
 // Add registers a block. Adding the same block twice is an error.
@@ -136,7 +122,7 @@ func (g *Graph) Connect(from Block, fromOut int, to Block, toIn int) error {
 	}
 	g.outUsed[ok] = true
 	g.inUsed[ik] = true
-	g.edges[edgeKey{from, fromOut, to, toIn}] = make(chan Chunk, g.depth)
+	g.edges[edgeKey{from, fromOut, to, toIn}] = make(chan Chunk, DefaultBufferDepth)
 	return nil
 }
 

@@ -160,9 +160,6 @@ func TestValidation(t *testing.T) {
 	if err := g.Connect(src, 0, sink, 0); err == nil {
 		t.Error("double connection should fail")
 	}
-	if err := g.SetBufferDepth(0); err == nil {
-		t.Error("zero depth should fail")
-	}
 }
 
 func TestUnconnectedPortRejected(t *testing.T) {
@@ -250,23 +247,6 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	b.ResetTimer()
 	if err := g.Run(context.Background()); err != nil {
 		b.Fatal(err)
-	}
-}
-
-func TestSetBufferDepthApplies(t *testing.T) {
-	g := New()
-	if err := g.SetBufferDepth(2); err != nil {
-		t.Fatal(err)
-	}
-	src := mkSource("src", 3, 1)
-	sink := &SinkFunc{BlockName: "sink", Consume: func(Chunk) error { return nil }}
-	g.Add(src)
-	g.Add(sink)
-	if err := g.Connect(src, 0, sink, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Run(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }
 

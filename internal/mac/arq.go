@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Selective-repeat ARQ in the style of 802.11n Block Ack: the sender
@@ -57,12 +55,6 @@ type ARQSender struct {
 	// retries tracks transmissions per sequence for the give-up policy.
 	retries    map[uint16]int
 	MaxRetries int
-	// packetIDs maps sequence → the globally unique TX-assigned packet ID,
-	// the correlation key stamped into radio frames and flight dumps. Unlike
-	// the 12-bit sequence it never wraps, so a retransmission keeps the same
-	// identity across rounds.
-	packetIDs    map[uint16]uint64
-	nextPacketID uint64
 	// BackoffBase and BackoffMax shape RetryDelay's exponential backoff:
 	// the delay doubles per consecutive all-loss round, capped at
 	// BackoffMax. Defaults 1ms and 64ms.
@@ -83,11 +75,6 @@ type ARQSender struct {
 	Backoffs int
 	// failRounds is the current consecutive all-loss round streak.
 	failRounds int
-	// Exposition counters mirroring the tallies above (nil until Instrument).
-	cRetries   *obs.Counter
-	cBackoffs  *obs.Counter
-	cDelivered *obs.Counter
-	cDropped   *obs.Counter
 }
 
 // NewARQSender returns a sender with a window of up to `window` outstanding
@@ -100,24 +87,10 @@ func NewARQSender(window int) (*ARQSender, error) {
 		window:      window,
 		pending:     make(map[uint16][]byte),
 		retries:     make(map[uint16]int),
-		packetIDs:   make(map[uint16]uint64),
 		MaxRetries:  7,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  64 * time.Millisecond,
 	}, nil
-}
-
-// Instrument registers the sender's ARQ counters in reg. A nil registry
-// leaves the sender un-instrumented (counters stay no-ops).
-func (s *ARQSender) Instrument(reg *obs.Registry) {
-	s.cRetries = reg.Counter("mimonet_arq_retries_total",
-		"MPDU retransmissions (transmissions beyond each frame's first)")
-	s.cBackoffs = reg.Counter("mimonet_arq_backoffs_total",
-		"rounds in which pending frames went entirely unacknowledged")
-	s.cDelivered = reg.Counter("mimonet_arq_delivered_total",
-		"payloads acknowledged and released from the window")
-	s.cDropped = reg.Counter("mimonet_arq_dropped_total",
-		"payloads dropped after exhausting the retry budget")
 }
 
 // Queue accepts a payload for reliable delivery and returns its assigned
@@ -126,16 +99,8 @@ func (s *ARQSender) Queue(payload []byte) uint16 {
 	seq := s.nextSeq
 	s.nextSeq = (s.nextSeq + 1) & 0x0FFF
 	s.pending[seq] = payload
-	s.nextPacketID++
-	s.packetIDs[seq] = s.nextPacketID
 	return seq
 }
-
-// PacketID returns the TX-assigned packet ID of a pending sequence (0 once
-// the payload left the window, or for an unknown sequence). Drivers stamp
-// this into the radio frames carrying the MPDU (WriteBurstID) so RX-side
-// telemetry correlates with this sender's record.
-func (s *ARQSender) PacketID(seq uint16) uint64 { return s.packetIDs[seq] }
 
 // Outstanding returns the number of unacknowledged payloads.
 func (s *ARQSender) Outstanding() int { return len(s.pending) }
@@ -161,13 +126,8 @@ func (s *ARQSender) Round() []*Frame {
 		if s.retries[seq] >= s.MaxRetries {
 			delete(s.pending, seq)
 			delete(s.retries, seq)
-			delete(s.packetIDs, seq)
 			s.Dropped++
-			s.cDropped.Inc()
 			continue
-		}
-		if s.retries[seq] > 0 {
-			s.cRetries.Inc()
 		}
 		s.retries[seq]++
 		frames = append(frames, &Frame{Seq: seq, Payload: s.pending[seq]})
@@ -186,9 +146,7 @@ func (s *ARQSender) Apply(ack BlockAck) {
 		if ack.Acked(seq) {
 			delete(s.pending, seq)
 			delete(s.retries, seq)
-			delete(s.packetIDs, seq)
 			s.Delivered++
-			s.cDelivered.Inc()
 			acked++
 		}
 	}
@@ -198,7 +156,6 @@ func (s *ARQSender) Apply(ack BlockAck) {
 	if acked == 0 {
 		s.failRounds++
 		s.Backoffs++
-		s.cBackoffs.Inc()
 	} else {
 		s.failRounds = 0
 	}

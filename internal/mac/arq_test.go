@@ -205,46 +205,6 @@ func TestARQApplyWithNothingPendingIsNotABackoff(t *testing.T) {
 	}
 }
 
-func TestARQPacketIDsStableAcrossRetries(t *testing.T) {
-	s, err := NewARQSender(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.MaxRetries = 2
-	seqA := s.Queue([]byte("a"))
-	seqB := s.Queue([]byte("b"))
-	idA, idB := s.PacketID(seqA), s.PacketID(seqB)
-	if idA == 0 || idB == 0 || idA == idB {
-		t.Fatalf("packet ids = %d, %d: want distinct non-zero", idA, idB)
-	}
-
-	// A retransmission keeps the same identity.
-	s.Round()
-	s.Apply(BlockAck{Start: seqA}) // nothing acked
-	if got := s.PacketID(seqA); got != idA {
-		t.Fatalf("retry changed packet id: %d -> %d", idA, got)
-	}
-
-	// Delivery releases the mapping.
-	s.Apply(BlockAck{Start: seqA, Bitmap: 1})
-	if got := s.PacketID(seqA); got != 0 {
-		t.Fatalf("delivered seq still maps to id %d", got)
-	}
-	// Retry exhaustion releases it too: seqB was transmitted once above, so
-	// one more attempt spends its budget and the following round drops it.
-	s.Round()
-	s.Round()
-	if got := s.PacketID(seqB); got != 0 {
-		t.Fatalf("dropped seq still maps to id %d", got)
-	}
-	// The ID space keeps advancing: a later payload never reuses an ID even
-	// after the 12-bit sequence space would have wrapped.
-	seqC := s.Queue([]byte("c"))
-	if got := s.PacketID(seqC); got <= idB {
-		t.Fatalf("new packet id %d not monotone after %d", got, idB)
-	}
-}
-
 func TestARQRetryDelayJitterDeterministicFromSeed(t *testing.T) {
 	// Two senders seeded identically must draw identical jittered
 	// schedules (chaos campaigns replay from their seed); a third with a

@@ -22,8 +22,8 @@ const (
 // maintains: chunk progress through the block's ports plus the supervision
 // events (restarts, recovered panics, stall detections, abandoned
 // goroutines). It is a thin wrapper over obs counters — constructed via
-// NewHealthIn the counters live in an exposition registry; via NewHealth
-// they are standalone — so there is one metrics root, not two. All methods
+// NewHealthIn they live in an exposition registry, or standalone with a nil
+// registry — so there is one metrics root, not two. All methods
 // are safe for concurrent use; the supervisor writes from scheduler
 // goroutines while monitors read snapshots.
 type Health struct {
@@ -34,9 +34,6 @@ type Health struct {
 	stalls    *obs.Counter
 	abandoned *obs.Counter
 }
-
-// NewHealth returns a zeroed counter set backed by standalone obs counters.
-func NewHealth() *Health { return NewHealthIn(nil, "") }
 
 // NewHealthIn returns a counter set whose counters are registered in reg
 // under the mimonet_block_* families, labelled block=<block>, so the same

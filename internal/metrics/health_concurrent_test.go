@@ -10,7 +10,7 @@ import (
 // chunks and monitors snapshot — and checks nothing is lost. Run under
 // -race in CI.
 func TestHealthConcurrentCounters(t *testing.T) {
-	h := NewHealth()
+	h := NewHealthIn(nil, "")
 	const workers = 8
 	const perWorker = 1000
 	var wg sync.WaitGroup

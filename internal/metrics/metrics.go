@@ -1,7 +1,6 @@
 // Package metrics provides the measurement machinery the paper reports
 // with: bit error rate and packet error rate counters with Wilson-score
-// confidence intervals, error-vector-magnitude accumulation, and small
-// histogram utilities for the experiment harness.
+// confidence intervals and error-vector-magnitude accumulation.
 package metrics
 
 import (
@@ -27,28 +26,6 @@ func (b *BER) AddBits(tx, rx []byte) error {
 	return nil
 }
 
-// AddBytes compares transmitted and received byte payloads bit-by-bit.
-// Length mismatch counts every bit of the longer slice as errored, the
-// pessimistic convention for lost/truncated frames.
-func (b *BER) AddBytes(tx, rx []byte) {
-	n := len(tx)
-	if len(rx) < n {
-		n = len(rx)
-	}
-	for i := 0; i < n; i++ {
-		x := tx[i] ^ rx[i]
-		for ; x != 0; x &= x - 1 {
-			b.Errors++
-		}
-	}
-	longer := len(tx)
-	if len(rx) > longer {
-		longer = len(rx)
-	}
-	b.Errors += int64(8 * (longer - n))
-	b.Total += int64(8 * longer)
-}
-
 // Add counts errors directly.
 func (b *BER) Add(errors, total int64) {
 	b.Errors += errors
@@ -64,6 +41,8 @@ func (b *BER) Rate() float64 {
 }
 
 // Confidence returns the Wilson-score interval at the given z (1.96 ≈ 95%).
+//
+//mimonet:testonly-ok planned caller: the BER-prediction oracle checks measured points against this interval
 func (b *BER) Confidence(z float64) (lo, hi float64) {
 	return wilson(float64(b.Errors), float64(b.Total), z)
 }
@@ -94,6 +73,8 @@ func (p *PER) Rate() float64 {
 }
 
 // Confidence returns the Wilson-score interval at the given z.
+//
+//mimonet:testonly-ok planned caller: the BER-prediction oracle and oracle-licensed table changes check PER points against this interval
 func (p *PER) Confidence(z float64) (lo, hi float64) {
 	return wilson(float64(p.Errors), float64(p.Total), z)
 }
@@ -154,63 +135,3 @@ func (e *EVM) SNRdB() float64 {
 
 // Count returns the number of symbols accumulated.
 func (e *EVM) Count() int64 { return e.n }
-
-// Histogram is a fixed-bin histogram for estimator-error distributions.
-type Histogram struct {
-	Min, Max float64
-	Bins     []int64
-	under    int64
-	over     int64
-	n        int64
-}
-
-// NewHistogram returns a histogram with nbins bins over [min, max).
-func NewHistogram(min, max float64, nbins int) (*Histogram, error) {
-	if nbins < 1 || max <= min {
-		return nil, fmt.Errorf("metrics: invalid histogram [%g, %g) with %d bins", min, max, nbins)
-	}
-	return &Histogram{Min: min, Max: max, Bins: make([]int64, nbins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	if x < h.Min {
-		h.under++
-		return
-	}
-	if x >= h.Max {
-		h.over++
-		return
-	}
-	i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Bins)))
-	if i == len(h.Bins) {
-		i--
-	}
-	h.Bins[i]++
-}
-
-// Count returns the total observations including out-of-range.
-func (h *Histogram) Count() int64 { return h.n }
-
-// OutOfRange returns the counts below Min and at/above Max.
-func (h *Histogram) OutOfRange() (under, over int64) { return h.under, h.over }
-
-// Quantile returns an approximate quantile (q in [0,1]) from the binned
-// data, ignoring out-of-range mass.
-func (h *Histogram) Quantile(q float64) float64 {
-	inRange := h.n - h.under - h.over
-	if inRange == 0 {
-		return math.NaN()
-	}
-	target := int64(q * float64(inRange))
-	var acc int64
-	for i, c := range h.Bins {
-		acc += c
-		if acc > target {
-			w := (h.Max - h.Min) / float64(len(h.Bins))
-			return h.Min + (float64(i)+0.5)*w
-		}
-	}
-	return h.Max
-}

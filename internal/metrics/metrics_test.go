@@ -21,20 +21,6 @@ func TestBERCounting(t *testing.T) {
 	}
 }
 
-func TestBERAddBytes(t *testing.T) {
-	var b BER
-	b.AddBytes([]byte{0xFF, 0x00}, []byte{0xFE, 0x00})
-	if b.Errors != 1 || b.Total != 16 {
-		t.Errorf("AddBytes: %d/%d", b.Errors, b.Total)
-	}
-	// Truncated RX counts missing bits as errors.
-	var b2 BER
-	b2.AddBytes([]byte{0xAA, 0xBB}, []byte{0xAA})
-	if b2.Errors != 8 || b2.Total != 16 {
-		t.Errorf("truncated: %d/%d", b2.Errors, b2.Total)
-	}
-}
-
 func TestBERZeroRate(t *testing.T) {
 	var b BER
 	if b.Rate() != 0 {
@@ -104,46 +90,5 @@ func TestEVM(t *testing.T) {
 	clean.Add(1, 1)
 	if !math.IsInf(clean.SNRdB(), 1) {
 		t.Error("zero EVM should give +Inf SNR")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(100)
-	if h.Count() != 12 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	u, o := h.OutOfRange()
-	if u != 1 || o != 1 {
-		t.Errorf("out of range = %d, %d", u, o)
-	}
-	for i, c := range h.Bins {
-		if c != 1 {
-			t.Errorf("bin %d = %d", i, c)
-		}
-	}
-	med := h.Quantile(0.5)
-	if med < 4 || med > 6.5 {
-		t.Errorf("median = %g", med)
-	}
-	if _, err := NewHistogram(5, 5, 10); err == nil {
-		t.Error("empty range should fail")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins should fail")
-	}
-}
-
-func TestHistogramQuantileEmpty(t *testing.T) {
-	h, _ := NewHistogram(0, 1, 4)
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Error("empty histogram quantile should be NaN")
 	}
 }

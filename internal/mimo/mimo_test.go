@@ -42,7 +42,7 @@ func TestStreamParserRoundTrip(t *testing.T) {
 					t.Fatal("unequal stream lengths")
 				}
 			}
-			merged, err := p.Merge(streams)
+			merged, err := mergeBits(p, streams)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,38 +77,47 @@ func TestStreamParserValidation(t *testing.T) {
 	if _, err := p.Parse(make([]byte, 3)); err == nil {
 		t.Error("non-multiple parse should fail")
 	}
-	if _, err := p.Merge([][]byte{{0}}); err == nil {
+	if _, err := p.MergeLLR([][]float64{{0}}); err == nil {
 		t.Error("wrong stream count should fail")
-	}
-	if _, err := p.Merge([][]byte{{0, 1}, {0}}); err == nil {
-		t.Error("ragged merge should fail")
 	}
 	if _, err := p.MergeLLR([][]float64{{0, 1}, {0}}); err == nil {
 		t.Error("ragged MergeLLR should fail")
 	}
 }
 
+// mergeBits reassembles per-stream bits through MergeLLR, the inverse of
+// Parse that the receiver runs, so the round-trip tests check Parse against
+// the code in use.
+func mergeBits(p *StreamParser, streams [][]byte) ([]byte, error) {
+	soft := make([][]float64, len(streams))
+	for i, s := range streams {
+		soft[i] = make([]float64, len(s))
+		for j, b := range s {
+			soft[i][j] = float64(b)
+		}
+	}
+	merged, err := p.MergeLLR(soft)
+	out := make([]byte, len(merged))
+	for i, v := range merged {
+		out[i] = byte(v)
+	}
+	return out, err
+}
+
 func TestMergeLLRMatchesMerge(t *testing.T) {
 	p, _ := NewStreamParser(3, 6)
 	r := rand.New(rand.NewSource(2))
-	bits := randBits(r, p.BlockBits()*20)
-	streams, _ := p.Parse(bits)
-	llrStreams := make([][]float64, len(streams))
-	for i, s := range streams {
-		llrStreams[i] = make([]float64, len(s))
-		for j, b := range s {
-			llrStreams[i][j] = float64(b)
-		}
+	bits := make([]byte, p.BlockBits()*20)
+	for i := range bits {
+		bits[i] = byte(r.Intn(256))
 	}
-	merged, _ := p.Merge(streams)
-	mergedLLR, err := p.MergeLLR(llrStreams)
+	streams, _ := p.Parse(bits)
+	merged, err := mergeBits(p, streams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range merged {
-		if float64(merged[i]) != mergedLLR[i] {
-			t.Fatal("MergeLLR ordering differs from Merge")
-		}
+	if !bytes.Equal(merged, bits) {
+		t.Fatal("MergeLLR ordering differs from the bits Parse split")
 	}
 }
 
@@ -328,7 +337,7 @@ func TestParserPropertyMergeInverse(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		merged, err := p.Merge(streams)
+		merged, err := mergeBits(p, streams)
 		return err == nil && bytes.Equal(merged, bits)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {

@@ -9,7 +9,7 @@ import "fmt"
 
 // StreamParser distributes coded bits round-robin across N_SS spatial
 // streams in blocks of s = max(1, N_BPSCS/2) bits
-// (IEEE 802.11-2012 §20.3.11.7), and reassembles them.
+// (IEEE 802.11-2012 §20.3.11.7), and reassembles their soft values.
 type StreamParser struct {
 	nss   int
 	block int
@@ -52,30 +52,6 @@ func (p *StreamParser) Parse(bits []byte) ([][]byte, error) {
 		for ss := 0; ss < p.nss; ss++ {
 			start := off + ss*p.block
 			out[ss] = append(out[ss], bits[start:start+p.block]...)
-		}
-	}
-	return out, nil
-}
-
-// Merge reassembles per-stream bit slices into one stream, the inverse of
-// Parse. All streams must have equal length, a multiple of the block size.
-func (p *StreamParser) Merge(streams [][]byte) ([]byte, error) {
-	if len(streams) != p.nss {
-		return nil, fmt.Errorf("mimo: %d streams, want %d", len(streams), p.nss)
-	}
-	per := len(streams[0])
-	for i, s := range streams {
-		if len(s) != per {
-			return nil, fmt.Errorf("mimo: stream %d has %d bits, stream 0 has %d", i, len(s), per)
-		}
-	}
-	if per%p.block != 0 {
-		return nil, fmt.Errorf("mimo: stream length %d not a multiple of block %d", per, p.block)
-	}
-	out := make([]byte, 0, per*p.nss)
-	for off := 0; off < per; off += p.block {
-		for ss := 0; ss < p.nss; ss++ {
-			out = append(out, streams[ss][off:off+p.block]...)
 		}
 	}
 	return out, nil

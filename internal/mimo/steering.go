@@ -31,6 +31,8 @@ func NewSteering(ntx, nss, nbins int) (*Steering, error) {
 
 // FlatSteering returns a frequency-flat steering applying q (N_TX×N_SS) on
 // every one of nbins bins.
+//
+//mimonet:testonly-ok planned caller: the E25 real-sample check drives per-station receivers through a precoded transmitter
 func FlatSteering(q *cmatrix.Matrix, nbins int) (*Steering, error) {
 	s, err := NewSteering(q.Rows, q.Cols, nbins)
 	if err != nil {
@@ -52,6 +54,8 @@ func (s *Steering) NSS() int { return s.nss }
 func (s *Steering) Bins() int { return len(s.q) }
 
 // SetBin installs q (N_TX×N_SS) on one FFT bin.
+//
+//mimonet:testonly-ok planned caller: the E25 real-sample check installs per-tone precoders
 func (s *Steering) SetBin(bin int, q *cmatrix.Matrix) error {
 	if bin < 0 || bin >= len(s.q) {
 		return fmt.Errorf("mimo: steering bin %d outside [0, %d)", bin, len(s.q))

@@ -114,9 +114,6 @@ func NewMapper(s Scheme) *Mapper {
 	return m
 }
 
-// Scheme returns the constellation.
-func (m *Mapper) Scheme() Scheme { return m.scheme }
-
 // Map converts bits (one per byte, length a multiple of BitsPerSymbol) to
 // symbols. The first bit of each group modulates I, per the standard's
 // table ordering.
@@ -192,9 +189,6 @@ func NewDemapper(s Scheme) *Demapper {
 
 // BitsPerSymbol returns N_BPSC for the demapper's constellation.
 func (d *Demapper) BitsPerSymbol() int { return d.nbpsc }
-
-// Scheme returns the demapper's constellation.
-func (d *Demapper) Scheme() Scheme { return d.scheme }
 
 // HardOne slices one symbol to the nearest constellation point's bits,
 // appended to dst.
@@ -295,18 +289,4 @@ func softAxis(dst []float64, v float64, axisBits int, w float64) {
 		}
 		dst[bit] = (d1 - d0) * w
 	}
-}
-
-// Soft computes LLRs for a block of symbols with per-symbol CSI weights.
-// csi may be nil (unit weights).
-func (d *Demapper) Soft(symbols []complex128, noiseVar float64, csi []float64) []float64 {
-	out := make([]float64, 0, len(symbols)*d.nbpsc)
-	for i, s := range symbols {
-		w := 1.0
-		if csi != nil {
-			w = csi[i]
-		}
-		out = d.SoftOne(out, s, noiseVar, w)
-	}
-	return out
 }

@@ -177,7 +177,10 @@ func TestSoftSignsMatchHard(t *testing.T) {
 		d := NewDemapper(s)
 		bits := randBits(r, s.BitsPerSymbol()*100)
 		syms, _ := m.Map(bits)
-		llr := d.Soft(syms, 0.1, nil)
+		var llr []float64
+		for _, sym := range syms {
+			llr = d.SoftOne(llr, sym, 0.1, 1)
+		}
 		if len(llr) != len(bits) {
 			t.Fatalf("%v: %d LLRs for %d bits", s, len(llr), len(bits))
 		}
@@ -261,8 +264,12 @@ func BenchmarkSoftDemap64QAM(b *testing.B) {
 	d := NewDemapper(QAM64)
 	bits := randBits(rand.New(rand.NewSource(6)), 6*52*10)
 	syms, _ := m.Map(bits)
+	llr := make([]float64, 0, len(bits))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.Soft(syms, 0.1, nil)
+		llr = llr[:0]
+		for _, sym := range syms {
+			llr = d.SoftOne(llr, sym, 0.1, 1)
+		}
 	}
 }

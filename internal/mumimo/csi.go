@@ -1,12 +1,11 @@
 // Package mumimo is the multi-user downlink layer of the access point: it
 // collects quantized sounding feedback from stations into a per-station CSI
 // cache (staleness-evicted on the injectable clock seam), derives
-// zero-forcing and block-diagonalization precoding weights over
-// internal/cmatrix, and packs compatible stations into transmission groups
-// by channel orthogonality and pending-queue depth. The paper's
-// instrumentation "evaluates the channel conditions" for one link; this
-// package is the layer that turns those per-link evaluations into
-// multi-station scheduling decisions.
+// zero-forcing precoding weights over internal/cmatrix, and packs
+// compatible stations into transmission groups by channel orthogonality and
+// pending-queue depth. The paper's instrumentation "evaluates the channel
+// conditions" for one link; this package is the layer that turns those
+// per-link evaluations into multi-station scheduling decisions.
 package mumimo
 
 import (
@@ -67,9 +66,6 @@ func NewCache(clk clock.Clock, maxAge time.Duration) *Cache {
 	}
 	return &Cache{clk: clock.Or(clk), maxAge: maxAge, entries: make(map[uint16]*Entry)}
 }
-
-// MaxAge returns the staleness bound entries are evicted at.
-func (c *Cache) MaxAge() time.Duration { return c.maxAge }
 
 // UpdateFeedback decodes a station's quantized feedback (sounding.Quantize
 // wire bytes) and caches the reconstruction, analyzed at the given linear
@@ -156,28 +152,6 @@ func (c *Cache) SweepList() []uint16 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Live returns the stations with fresh CSI, sorted by ID — the
-// deterministic candidate order the scheduler iterates in.
-func (c *Cache) Live() []uint16 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]uint16, 0, len(c.entries))
-	for id, e := range c.entries {
-		if c.clk.Since(e.Updated) <= c.maxAge {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Len returns the number of cached entries, fresh or stale.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // meanMatrix averages the live tones of a per-subcarrier channel estimate

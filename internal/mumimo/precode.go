@@ -11,10 +11,7 @@ import (
 // Downlink precoding. The composite channel of a transmission group stacks
 // each member's N_RX×N_TX channel matrix row-wise into H (K×N_TX, K ≤
 // N_TX). Zero-forcing inverts it — W = Hᴴ(HHᴴ)⁻¹ with unit-norm columns —
-// so station k's receive stream sees only its own column's signal;
-// block diagonalization instead projects each station's channel onto the
-// null space of the others', preserving the station's own array gain while
-// still nulling inter-station interference.
+// so station k's receive stream sees only its own column's signal.
 
 // ZFPrecode returns the zero-forcing precoder for a stacked channel h
 // (K rows of receive streams × N_TX transmit antennas, K ≤ N_TX): the
@@ -39,97 +36,23 @@ func ZFPrecode(h *cmatrix.Matrix) (*cmatrix.Matrix, error) {
 	return w, nil
 }
 
-// BDPrecode returns per-station block-diagonalization precoders for a group
-// of per-station channels (each N_RXᵢ×N_TX, ΣN_RXᵢ ≤ N_TX). Station i's
-// weights are the ZF precoder of its channel projected onto the null space
-// of every other station's rows: P = I − H̄ᴴ(H̄H̄ᴴ)⁻¹H̄. The returned
-// W_i (N_TX×N_RXᵢ) have unit-norm columns and null inter-station
-// interference by construction; a single-station group degenerates to
-// plain ZF.
-func BDPrecode(stations []*cmatrix.Matrix) ([]*cmatrix.Matrix, error) {
-	if len(stations) == 0 {
-		return nil, fmt.Errorf("mumimo: empty group")
-	}
-	ntx := stations[0].Cols
-	total := 0
-	for i, h := range stations {
-		if h == nil || h.Rows < 1 {
-			return nil, fmt.Errorf("mumimo: station %d has an empty channel", i)
-		}
-		if h.Cols != ntx {
-			return nil, fmt.Errorf("mumimo: station %d has %d TX antennas, station 0 has %d", i, h.Cols, ntx)
-		}
-		total += h.Rows
-	}
-	if total > ntx {
-		return nil, fmt.Errorf("mumimo: group needs %d streams, only %d antennas", total, ntx)
-	}
-	out := make([]*cmatrix.Matrix, len(stations))
-	for i, h := range stations {
-		proj := cmatrix.Identity(ntx)
-		if len(stations) > 1 {
-			other := stackOthers(stations, i)
-			p, err := nullProjector(other)
-			if err != nil {
-				return nil, fmt.Errorf("mumimo: station %d interference space: %w", i, err)
-			}
-			proj = p
-		}
-		eff := cmatrix.Mul(h, proj) // N_RXᵢ×N_TX: channel seen through the null space
-		wEff, err := ZFPrecode(eff)
-		if err != nil {
-			return nil, fmt.Errorf("mumimo: station %d projected channel: %w", i, err)
-		}
-		w := cmatrix.Mul(proj, wEff)
-		if err := normalizeColumns(w); err != nil {
-			return nil, fmt.Errorf("mumimo: station %d: %w", i, err)
-		}
-		out[i] = w
-	}
-	return out, nil
-}
-
-// nullProjector returns P = I − HᴴH⁺ᴴ… concretely I − Hᴴ(HHᴴ)⁻¹H, the
-// orthogonal projector onto the null space of h's rows.
-func nullProjector(h *cmatrix.Matrix) (*cmatrix.Matrix, error) {
-	gram := cmatrix.Mul(h, h.Hermitian())
-	inv, err := gram.Inverse()
-	if err != nil {
-		return nil, err
-	}
-	p := cmatrix.Mul(h.Hermitian(), cmatrix.Mul(inv, h))
-	p.ScaleInPlace(-1)
-	p.AddScaledIdentity(1)
-	return p, nil
-}
-
-// stackOthers stacks every station's channel rows except index skip.
-func stackOthers(stations []*cmatrix.Matrix, skip int) *cmatrix.Matrix {
-	rows := 0
-	for i, h := range stations {
-		if i != skip {
-			rows += h.Rows
-		}
-	}
-	out := cmatrix.New(rows, stations[0].Cols)
-	r := 0
-	for i, h := range stations {
-		if i == skip {
-			continue
-		}
-		copy(out.Data[r*out.Cols:], h.Data)
-		r += h.Rows
-	}
-	return out
-}
-
 // StackChannels stacks per-station channel matrices row-wise into the
 // composite group channel ZFPrecode inverts.
 func StackChannels(stations []*cmatrix.Matrix) *cmatrix.Matrix {
 	if len(stations) == 0 {
 		return nil
 	}
-	return stackOthers(stations, -1)
+	rows := 0
+	for _, h := range stations {
+		rows += h.Rows
+	}
+	out := cmatrix.New(rows, stations[0].Cols)
+	r := 0
+	for _, h := range stations {
+		copy(out.Data[r*out.Cols:], h.Data)
+		r += h.Rows
+	}
+	return out
 }
 
 // PostPrecodingSINR returns each stream's SINR (linear) when the stacked

@@ -42,9 +42,6 @@ func NewLogger(w io.Writer, level slog.Level, json bool, node string) *slog.Logg
 // LogPacket labels a record with the cross-process packet correlation key.
 func LogPacket(id uint64) slog.Attr { return slog.Uint64(KeyPacketID, id) }
 
-// LogTrace labels a record with the local trace ring ID.
-func LogTrace(id uint64) slog.Attr { return slog.Uint64(KeyTraceID, id) }
-
 // LogBlock labels a record with the flowgraph block it concerns.
 func LogBlock(name string) slog.Attr { return slog.String(KeyBlock, name) }
 

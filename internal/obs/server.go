@@ -39,6 +39,7 @@ type Server struct {
 	mu     sync.Mutex
 	ln     net.Listener
 	hs     *http.Server
+	cancel context.CancelFunc // ends every request context of hs
 	closed bool
 	extra  map[string]http.Handler
 	dumper func(reason string) (string, error)
@@ -188,8 +189,9 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 		ln.Close()
 		return nil, fmt.Errorf("obs: listen %q: server already listening", addr)
 	}
-	s.ln = ln
-	s.hs = &http.Server{Handler: handler}
+	base, cancel := context.WithCancel(context.Background())
+	s.ln, s.cancel = ln, cancel
+	s.hs = &http.Server{Handler: handler, BaseContext: func(net.Listener) context.Context { return base }}
 	hs := s.hs
 	s.mu.Unlock()
 	go func() {
@@ -200,22 +202,26 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// Close stops the listener and drains in-flight handlers: new connections
-// are refused immediately, while active requests (a scrape mid-exposition, a
-// /dump writing its artifact) get up to ShutdownTimeout to complete before
-// being cut off. Idempotent and race-safe: Close without a prior Listen is
-// a no-op that still poisons the server (a later Listen fails), concurrent
-// Closes each return nil once the shutdown has happened, and a Close racing
-// a Listen leaves no listener behind whichever wins.
+// Close stops the listener and drains in-flight handlers. It first cancels
+// every request's context, so handlers that wait on it (a /stream
+// subscriber, a long /debug/pprof profile) return at once. New connections
+// are then refused, while active requests that ignore their context (a
+// scrape mid-exposition, a /dump writing its artifact) get up to
+// ShutdownTimeout to complete before being cut off. Idempotent and
+// race-safe: Close without a prior Listen is a no-op that still poisons the
+// server (a later Listen fails), concurrent Closes each return nil once the
+// shutdown has happened, and a Close racing a Listen leaves no listener
+// behind whichever wins.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
-	hs := s.hs
-	s.hs, s.ln = nil, nil
+	hs, cancel := s.hs, s.cancel
+	s.hs, s.ln, s.cancel = nil, nil, nil
 	s.mu.Unlock()
 	if hs == nil {
 		return nil
 	}
+	cancel()
 	timeout := s.ShutdownTimeout
 	if timeout <= 0 {
 		timeout = 2 * time.Second

@@ -112,3 +112,35 @@ func TestServerHandleExtraRoute(t *testing.T) {
 		}
 	}
 }
+
+// TestServerCloseEndsContextBoundHandlers pins that Close cancels request
+// contexts before it drains: a mounted handler that waits on its context,
+// as a /stream subscriber or a long pprof profile does, must end at once
+// instead of holding Close for the whole ShutdownTimeout.
+func TestServerCloseEndsContextBoundHandlers(t *testing.T) {
+	srv, _, _ := testServer(t)
+	srv.ShutdownTimeout = 5 * time.Second
+	entered := make(chan struct{})
+	var once sync.Once
+	srv.Handle("/wait", http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		once.Do(func() { close(entered) })
+		<-r.Context().Done()
+	}))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		if resp, err := http.Get("http://" + addr.String() + "/wait"); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close = %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with a context-bound handler in flight", d)
+	}
+}

@@ -12,8 +12,8 @@ import (
 // ubiquitous: text/event-stream frames of "event:" + "data:" lines). Each
 // connection gets the standard attach sequence — hello, journal replay,
 // full metric snapshot — then live frames until the client disconnects,
-// the hub closes, or the subscriber stalls past its bounded queue and is
-// dropped.
+// the serving obs.Server closes (Close cancels the request context), or the
+// subscriber stalls past its bounded queue and is dropped.
 //
 // A stalled HTTP client blocks only its own handler goroutine in Write;
 // the hub has already detached the subscriber, so publishers and healthy

@@ -25,7 +25,6 @@ func TestSSERoundtrip(t *testing.T) {
 
 	srv := httptest.NewServer(stream.Handler(h))
 	defer srv.Close()
-	defer h.Close()
 
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -96,18 +95,25 @@ func TestReadSSEFinalFrameWithoutTrailingBlank(t *testing.T) {
 	}
 }
 
-// TestAggregatorMergesNodes subscribes one aggregator to two live hubs and
+// TestAggregatorMergesNodes subscribes one aggregator to two live hubs,
+// each served the way the binaries serve it (obs.Server at /stream), and
 // checks both node streams arrive tagged, plus per-node error reporting for
 // a dead endpoint.
 func TestAggregatorMergesNodes(t *testing.T) {
-	mk := func(node string) (*stream.Hub, *httptest.Server) {
+	mk := func(node string) (*stream.Hub, *obs.Server, string) {
 		clk := clock.NewFake(time.Unix(3000, 0))
 		h := stream.NewHub(stream.Config{Node: node, Clock: clk})
-		return h, httptest.NewServer(stream.Handler(h))
+		srv := obs.NewServer(nil, nil, nil)
+		srv.Handle("/stream", stream.Handler(h))
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, srv, "http://" + addr.String()
 	}
-	gw, gwSrv := mk("gw")
+	gw, gwSrv, gwURL := mk("gw")
 	defer gwSrv.Close()
-	ap, apSrv := mk("ap")
+	ap, apSrv, apURL := mk("ap")
 	defer apSrv.Close()
 
 	gw.Publish(stream.Event{Type: stream.EventSessionOpened, Session: 1})
@@ -117,8 +123,8 @@ func TestAggregatorMergesNodes(t *testing.T) {
 	defer cancel()
 	out := make(chan stream.Msg, 64)
 	agg := &stream.Aggregator{Nodes: []stream.NodeRef{
-		{Name: "gw", BaseURL: gwSrv.URL},
-		{Name: "ap", BaseURL: apSrv.URL},
+		{Name: "gw", BaseURL: gwURL},
+		{Name: "ap", BaseURL: apURL},
 		{Name: "dead", BaseURL: "http://127.0.0.1:1"},
 	}}
 	done := make(chan error, 1)
@@ -158,17 +164,17 @@ func TestAggregatorMergesNodes(t *testing.T) {
 		t.Fatalf("dead node reported %q, want an error message", want["dead"])
 	}
 
-	// Closing the hubs ends the live streams; Run returns once every node
-	// goroutine finishes.
-	gw.Close()
-	ap.Close()
+	// Closing the servers ends the live streams; Run returns once every
+	// node goroutine finishes.
+	gwSrv.Close()
+	apSrv.Close()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatalf("Run = %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("aggregator Run did not return after hubs closed")
+		t.Fatal("aggregator Run did not return after the servers closed")
 	}
 }
 

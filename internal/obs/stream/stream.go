@@ -155,13 +155,12 @@ type Hub struct {
 	cEvents  *obs.Counter
 	cDropped *obs.Counter
 
-	mu     sync.Mutex
-	closed bool
-	seq    uint64
-	subs   map[*Subscriber]struct{}
-	ring   []Event // preallocated replay ring
-	ringN  uint64  // total events ever published
-	diff   differ
+	mu    sync.Mutex
+	seq   uint64
+	subs  map[*Subscriber]struct{}
+	ring  []Event // preallocated replay ring
+	ringN uint64  // total events ever published
+	diff  differ
 	// lastTraceID is the newest trace ring ID already scanned for
 	// trace_fail events.
 	lastTraceID uint64
@@ -183,14 +182,6 @@ func NewHub(cfg Config) *Hub {
 		h.cDropped = reg.Counter("mimonet_stream_dropped_subscribers_total", "subscribers dropped for stalling with a full queue")
 	}
 	return h
-}
-
-// Node returns the hub's node identity ("" on nil).
-func (h *Hub) Node() string {
-	if h == nil {
-		return ""
-	}
-	return h.cfg.Node
 }
 
 // Publish stamps ev with the node identity, the next sequence number and
@@ -236,8 +227,8 @@ func (h *Hub) broadcastLocked(f Frame) {
 }
 
 // Subscriber is one attached stream consumer. Frames arrive on C; the
-// channel closes when the subscriber is dropped for stalling, the hub
-// closes, or Close is called.
+// channel closes when the subscriber is dropped for stalling or Close is
+// called.
 type Subscriber struct {
 	// C delivers frames in publish order.
 	C <-chan Frame
@@ -246,10 +237,6 @@ type Subscriber struct {
 	ch      chan Frame
 	dropped atomic.Bool
 }
-
-// DroppedSlow reports whether the hub dropped this subscriber because its
-// queue filled. Meaningful once C is closed.
-func (s *Subscriber) DroppedSlow() bool { return s.dropped.Load() }
 
 // Close detaches the subscriber. Idempotent; safe concurrently with a hub
 // drop (whoever removes the subscriber from the hub closes the channel, so
@@ -265,8 +252,9 @@ func (s *Subscriber) Close() {
 	h.mu.Unlock()
 }
 
-// ErrClosed is returned by Subscribe after the hub has been closed.
-var ErrClosed = errors.New("stream: hub closed")
+// errNilHub is returned by Subscribe on a nil hub, which has nothing to
+// stream.
+var errNilHub = errors.New("stream: nil hub")
 
 // Subscribe attaches a new consumer. The queue is pre-seeded with a hello
 // frame, a replay of the journal ring (oldest first), and — when a
@@ -276,7 +264,7 @@ var ErrClosed = errors.New("stream: hub closed")
 // itself can never trip the drop policy.
 func (h *Hub) Subscribe() (*Subscriber, error) {
 	if h == nil {
-		return nil, ErrClosed
+		return nil, errNilHub
 	}
 	// Gather outside the lock: a full snapshot can be large and the
 	// publish path must not wait on it.
@@ -295,9 +283,6 @@ func (h *Hub) Subscribe() (*Subscriber, error) {
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return nil, ErrClosed
-	}
 	replay := h.replayLocked()
 	s := &Subscriber{hub: h, ch: make(chan Frame, h.cfg.QueueDepth+len(replay)+2)}
 	s.C = s.ch
@@ -338,33 +323,6 @@ func (h *Hub) replayLocked() []Event {
 		out = append(out, h.ring[i%n])
 	}
 	return out
-}
-
-// Subscribers returns the live subscriber count.
-func (h *Hub) Subscribers() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
-// Close drops every subscriber and refuses further subscriptions. Publish
-// after Close still journals (the ring survives for post-mortems) but fans
-// out to nobody. Idempotent.
-func (h *Hub) Close() {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.closed = true
-	for s := range h.subs {
-		delete(h.subs, s)
-		close(s.ch)
-	}
-	h.gSubs.Set(0)
-	h.mu.Unlock()
 }
 
 // Run drives the snapshot cadence until ctx is done: on every tick of the

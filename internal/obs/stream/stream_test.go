@@ -310,30 +310,10 @@ func TestTickSurfacesFailedTraces(t *testing.T) {
 	}
 }
 
-func TestHubCloseSemantics(t *testing.T) {
-	clk := clock.NewFake(time.Unix(3000, 0))
-	h := stream.NewHub(stream.Config{Node: "gw", Clock: clk})
-	sub, err := h.Subscribe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recv(t, sub.C) // hello
-	h.Close()
-	if _, ok := <-sub.C; ok {
-		t.Fatal("subscriber channel still open after hub Close")
-	}
-	if _, err := h.Subscribe(); err == nil {
-		t.Fatal("Subscribe after Close succeeded")
-	}
-	h.Publish(stream.Event{Type: stream.EventSessionOpened}) // must not panic
-	h.Close()                                                // idempotent
-}
-
 func TestNilHubIsSafe(t *testing.T) {
 	var h *stream.Hub
 	h.Publish(stream.Event{Type: stream.EventSessionOpened})
 	h.Tick()
-	h.Close()
 	h.Run(context.Background())
 	if h.Subscribers() != 0 || h.Node() != "" {
 		t.Fatal("nil hub reported state")

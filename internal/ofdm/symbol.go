@@ -120,9 +120,6 @@ func NewDemodulator(tones *ToneMap) *Demodulator {
 	}
 }
 
-// Tones returns the demodulator's tone map.
-func (d *Demodulator) Tones() *ToneMap { return d.tones }
-
 // Symbol demodulates one symbol. sym must contain the 64 samples of the
 // useful part (CP already removed — timing recovery owns that decision).
 // It appends the data subcarrier values to data and the pilot values to

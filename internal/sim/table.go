@@ -113,7 +113,8 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions returns the settings used for EXPERIMENTS.md.
+// DefaultOptions returns the settings used for EXPERIMENTS.md, which are
+// mimonet-sim's flag defaults.
 func DefaultOptions() Options {
 	return Options{Seed: 1, Packets: 200, PayloadLen: 500}
 }

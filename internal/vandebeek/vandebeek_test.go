@@ -207,7 +207,12 @@ func TestMetricPeaksAtCPWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// λ must peak at multiples of the symbol length (boundary at 0).
-	peak := dsp.MaxFloatIndex(lambda)
+	peak := 0
+	for i, v := range lambda {
+		if v > lambda[peak] {
+			peak = i
+		}
+	}
 	if peak%ofdm.SymbolLen > 2 && ofdm.SymbolLen-peak%ofdm.SymbolLen > 2 {
 		t.Errorf("metric peak at %d, not near a symbol boundary", peak)
 	}

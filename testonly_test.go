@@ -1,0 +1,224 @@
+package repro
+
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/analysis/framework"
+)
+
+// testOnlyTag marks an exported declaration under internal/ that only tests
+// call on purpose: a test seam, a test oracle, or an entry point a planned
+// caller will use. The tag must be followed by the reason.
+const testOnlyTag = "//mimonet:testonly-ok"
+
+// TestNoTestOnlyExports fails on every exported function, method or type in
+// a non-test file under internal/ that no non-test file of the module
+// (bench/ included) refers to: code that only its own tests run. A
+// declaration tagged testOnlyTag on its line or the line above stays; on a
+// type the tag covers its methods. A method also stays when its receiver
+// implements a named interface, declared in the module or in anything it
+// imports, that has the method. Unwrap, Is and As count as interface
+// methods because package errors calls them through anonymous interfaces.
+// A tagged function or method that non-test code does call fails the test
+// too, so the tags name exactly the test-only set.
+func TestNoTestOnlyExports(t *testing.T) {
+	root, modPath, err := framework.FindModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader := &framework.Loader{ModRoot: root, ModPath: modPath}
+	pkgs, err := loader.LoadPatterns("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ifaces := interfacesByMethod(pkgs)
+
+	type decl struct {
+		pos  token.Position
+		what string
+		recv types.Object // a method's receiver type, nil otherwise
+	}
+	candidates := make(map[types.Object]decl)
+	taggedTypes := make(map[types.Object]bool)
+	// taggedFuncs holds the tagged functions and methods: a reference from
+	// non-test code makes the tag stale.
+	taggedFuncs := make(map[types.Object]decl)
+	// self holds the spans in which a reference to an object is part of its
+	// own declaration: its body, or the receiver of one of its methods.
+	type span struct{ from, to token.Pos }
+	self := make(map[types.Object][]span)
+	for _, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.Path, modPath+"/internal/") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			tagged := testOnlyLines(t, pkg.Fset, f)
+			isTagged := func(pos token.Pos) bool {
+				line := pkg.Fset.Position(pos).Line
+				return tagged[line] || tagged[line-1]
+			}
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					obj := pkg.Info.Defs[fd.Name]
+					self[obj] = append(self[obj], span{fd.Pos(), fd.End()})
+					c := decl{pos: pkg.Fset.Position(fd.Pos()), what: "func " + fd.Name.Name}
+					if fd.Recv != nil {
+						c.recv = receiverType(pkg.Info, fd)
+						self[c.recv] = append(self[c.recv], span{fd.Recv.Pos(), fd.Recv.End()})
+						c.what = "method " + c.recv.Name() + "." + fd.Name.Name
+					}
+					switch {
+					case isTagged(fd.Pos()):
+						taggedFuncs[obj] = c
+					case fd.Name.IsExported() && !implemented(ifaces, c.recv, fd.Name.Name):
+						candidates[obj] = c
+					}
+					continue
+				}
+				for _, s := range d.(*ast.GenDecl).Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					obj := pkg.Info.Defs[ts.Name]
+					self[obj] = append(self[obj], span{ts.Pos(), ts.End()})
+					switch {
+					case isTagged(ts.Pos()):
+						taggedTypes[obj] = true
+					case ts.Name.IsExported():
+						candidates[obj] = decl{pos: pkg.Fset.Position(ts.Pos()), what: "type " + ts.Name.Name}
+					}
+				}
+			}
+		}
+	}
+
+	for _, pkg := range pkgs {
+	uses:
+		for id, obj := range pkg.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+			}
+			_, candidate := candidates[obj]
+			tag, hasTag := taggedFuncs[obj]
+			if !candidate && !hasTag {
+				continue
+			}
+			for _, s := range self[obj] {
+				if s.from <= id.Pos() && id.Pos() < s.to {
+					continue uses
+				}
+			}
+			delete(candidates, obj)
+			if hasTag {
+				t.Errorf("%s: %s carries %s but %s uses it: drop the tag", tag.pos, tag.what, testOnlyTag, pkg.Fset.Position(id.Pos()))
+				delete(taggedFuncs, obj)
+			}
+		}
+	}
+
+	var found []string
+	for _, c := range candidates {
+		if !taggedTypes[c.recv] {
+			found = append(found, c.pos.String()+": "+c.what)
+		}
+	}
+	sort.Strings(found)
+	for _, f := range found {
+		t.Errorf("%s: no non-test code refers to it: delete it, or tag it %s with the reason", f, testOnlyTag)
+	}
+}
+
+// testOnlyLines returns the lines of f that carry testOnlyTag, and fails the
+// test for a tag that gives no reason.
+func testOnlyLines(t *testing.T, fset *token.FileSet, f *ast.File) map[int]bool {
+	lines := make(map[int]bool)
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			reason, ok := strings.CutPrefix(c.Text, testOnlyTag)
+			if !ok {
+				continue
+			}
+			if strings.TrimSpace(reason) == "" {
+				t.Errorf("%s: %s without a reason", fset.Position(c.Pos()), testOnlyTag)
+			}
+			lines[fset.Position(c.Pos()).Line] = true
+		}
+	}
+	return lines
+}
+
+// receiverType returns the named type a method is declared on.
+func receiverType(info *types.Info, fd *ast.FuncDecl) types.Object {
+	recv := info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	return recv.(*types.Named).Obj()
+}
+
+// interfacesByMethod indexes every non-generic named interface declared in
+// the loaded packages, in anything they import, or in the universe (error),
+// by the names of its methods.
+func interfacesByMethod(pkgs []*framework.Package) map[string][]*types.Interface {
+	out := make(map[string][]*types.Interface)
+	add := func(obj types.Object) {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			return
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok || named.TypeParams().Len() > 0 {
+			return
+		}
+		if iface, ok := named.Underlying().(*types.Interface); ok {
+			for i := 0; i < iface.NumMethods(); i++ {
+				out[iface.Method(i).Name()] = append(out[iface.Method(i).Name()], iface)
+			}
+		}
+	}
+	add(types.Universe.Lookup("error"))
+	seen := make(map[*types.Package]bool)
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			add(p.Scope().Lookup(name))
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range pkgs {
+		visit(pkg.Types)
+	}
+	return out
+}
+
+// implemented reports whether method name of recv is an interface method:
+// recv or a pointer to it implements a named interface that declares it, or
+// it is one of the methods package errors looks up through anonymous
+// interfaces.
+func implemented(ifaces map[string][]*types.Interface, recv types.Object, name string) bool {
+	if recv == nil {
+		return false
+	}
+	switch name {
+	case "Unwrap", "Is", "As":
+		return true
+	}
+	for _, iface := range ifaces[name] {
+		if types.Implements(recv.Type(), iface) || types.Implements(types.NewPointer(recv.Type()), iface) {
+			return true
+		}
+	}
+	return false
+}
