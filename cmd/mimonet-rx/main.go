@@ -195,12 +195,7 @@ func main() {
 	pol := flowgraph.Policy{TrackHealth: true, Metrics: reg, Logger: logger}
 	if rec != nil || hub != nil {
 		pol.OnRestart = func(block string, attempt int, err error) {
-			reason := ""
-			if err != nil {
-				reason = err.Error()
-			}
-			hub.Publish(stream.Event{Type: stream.EventSupervisorRestart,
-				Block: block, Attempt: attempt, Reason: reason})
+			hub.PublishRestart(block, attempt, err)
 			if rec == nil {
 				return
 			}

@@ -61,7 +61,7 @@ func TestFlightRecorderLinkPostMortem(t *testing.T) {
 		if h.Flags&radio.FlagEndOfBurst != 0 {
 			dgramInBurst = 0
 		}
-		if h.PacketID == lossyPacket && i >= 8 && i < 12 {
+		if h.ID == lossyPacket && i >= 8 && i < 12 {
 			return nil // injected loss: the receiver zero-fills the gap
 		}
 		return [][]byte{d}

@@ -2,11 +2,12 @@
 // the session wire protocol compatible with themselves:
 //
 //  1. Header-buffer extents. A header encoder that serializes into a local
-//     fixed-size array (var hdr [headerSizeV3]byte; binary.BigEndian.PutUint64
-//     (hdr[20:], …); append(dst, hdr[:headerSizeV2]…)) must write exactly as
+//     fixed-size array (var hdr [headerSize]byte; binary.BigEndian.PutUint64
+//     (hdr[20:], …); append(dst, hdr[:headerSize]…)) must write exactly as
 //     many bytes as the largest named header-length constant it slices the
-//     buffer by — bumping headerSizeV3 without serializing the new field, or
-//     writing a field past the declared size, is a finding.
+//     buffer by — bumping headerSize without serializing the new field, or
+//     writing a field past the declared size, is a finding. An encoder that
+//     slices the whole array (hdr[:]) names no constant and is not checked.
 //
 //  2. Encode/decode symmetry. When a package contains one switch over a wire
 //     enum whose cases append fixed-width bodies to a []byte (the encoder)
@@ -73,7 +74,7 @@ type bufferUse struct {
 	maxWrite int64
 	wrote    bool
 	// maxBound / boundName track the largest named constant the array is
-	// sliced by (hdr[:headerSizeV3]).
+	// sliced by (hdr[:headerSize]).
 	maxBound  int64
 	boundName string
 	pos       ast.Node
@@ -163,7 +164,7 @@ func checkHeaderBuffers(pass *framework.Pass, fd *ast.FuncDecl) {
 				}
 			}
 		case *ast.SliceExpr:
-			// arr[:headerSizeVn] — a named length constant as the high bound.
+			// arr[:headerSize] — a named length constant as the high bound.
 			id, ok := ast.Unparen(n.X).(*ast.Ident)
 			if !ok || n.High == nil {
 				return true

@@ -7,11 +7,9 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/flowgraph"
 	"repro/internal/mumimo"
 	"repro/internal/obs"
 	"repro/internal/obs/stream"
@@ -19,38 +17,30 @@ import (
 )
 
 // AP is the multi-user access point service: it multiplexes many station
-// processes over UDP radio framing v4, owning the association table, the
-// CSI cache fed by quantized sounding feedback, and the orthogonality-aware
-// group scheduler that drives the precoded downlink. The ingress and
-// scheduling pumps run as supervised flowgraph blocks — panics are
-// contained and restarted with backoff, exactly like the session gateway.
+// processes over radio data frames keyed by station ID, owning the
+// association table, the CSI cache fed by quantized sounding feedback, and
+// the orthogonality-aware group scheduler that drives the precoded
+// downlink. It runs on the same supervised radio.DatagramService as the
+// session gateway: route and tick share the handler block's goroutine, so
+// the table, cache and ARQ state need no further locking.
 type AP struct {
 	cfg   APConfig
 	log   *slog.Logger
-	clk   clock.Clock
-	conn  *net.UDPConn
+	svc   *radio.DatagramService
 	table *Table
 	cache *mumimo.Cache
 	sched *mumimo.Scheduler
 	hub   *stream.Hub
 
-	mu     sync.Mutex
-	closed bool
-	inbox  []datagram
-	addrs  map[uint16]*net.UDPAddr
-	links  map[uint16]*linkStats
-	seq    uint64
-	token  uint32
-	ticks  int
+	addrs map[uint16]*net.UDPAddr
+	links map[uint16]*linkStats
+	seq   uint64
+	token uint32
+	ticks int
 
 	// dropRng is the seeded air-interface loss model: each downlink data
 	// frame is lost with cfg.DropProb, exercising the per-station ARQ.
 	dropRng *rand.Rand
-}
-
-type datagram struct {
-	data []byte
-	addr *net.UDPAddr
 }
 
 // linkStats tracks one station's downlink outcome for the PER gauge and
@@ -133,19 +123,9 @@ func (c APConfig) withDefaults() APConfig {
 // NewAP binds the listen socket and assembles the service.
 func NewAP(cfg APConfig) (*AP, error) {
 	cfg = cfg.withDefaults()
-	laddr, err := net.ResolveUDPAddr("udp", cfg.Listen)
-	if err != nil {
-		return nil, fmt.Errorf("apmac: listen address: %w", err)
-	}
-	conn, err := net.ListenUDP("udp", laddr)
-	if err != nil {
-		return nil, fmt.Errorf("apmac: listen: %w", err)
-	}
 	a := &AP{
 		cfg:     cfg,
 		log:     cfg.Logger,
-		clk:     cfg.Clock,
-		conn:    conn,
 		table:   NewTable(cfg.Clock),
 		cache:   mumimo.NewCache(cfg.Clock, mumimo.DefaultMaxCSIAge),
 		sched:   &mumimo.Scheduler{NTX: cfg.NTX},
@@ -154,6 +134,16 @@ func NewAP(cfg APConfig) (*AP, error) {
 		links:   map[uint16]*linkStats{},
 		dropRng: rand.New(rand.NewSource(cfg.Seed)),
 	}
+	svc, err := radio.NewDatagramService(radio.ServiceConfig{
+		Listen: cfg.Listen, Ingress: "ap-ingress", Handler: "ap-sched",
+		Handle: a.route, Tick: cfg.TickInterval, OnTick: a.tick,
+		Clock: cfg.Clock, Logger: cfg.Logger, Registry: cfg.Registry,
+		OnRestart: cfg.Events.PublishRestart,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("apmac: %w", err)
+	}
+	a.svc = svc
 	if cfg.Registry != nil {
 		a.table.Instrument(cfg.Registry)
 	}
@@ -161,7 +151,7 @@ func NewAP(cfg APConfig) (*AP, error) {
 }
 
 // Addr returns the bound listen address.
-func (a *AP) Addr() net.Addr { return a.conn.LocalAddr() }
+func (a *AP) Addr() net.Addr { return a.svc.Addr() }
 
 // Stations returns the current association count.
 func (a *AP) Stations() int { return a.table.Len() }
@@ -169,147 +159,24 @@ func (a *AP) Stations() int { return a.table.Len() }
 // StationList snapshots every association for the control API.
 func (a *AP) StationList() []StationInfo { return a.table.Infos() }
 
-// Run serves until ctx is cancelled. The ingress and scheduler pumps run
-// under flowgraph supervision; a contained panic restarts the block with
-// backoff rather than killing the AP.
-func (a *AP) Run(ctx context.Context) error {
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stopped := make(chan struct{})
-	go func() {
-		<-runCtx.Done()
-		a.mu.Lock()
-		a.closed = true
-		a.mu.Unlock()
-		a.conn.Close()
-		close(stopped)
-	}()
+// Run serves until ctx is cancelled. A contained panic restarts its block
+// with backoff rather than killing the AP; a block that exhausts its
+// restart budget ends Run with its BlockError.
+func (a *AP) Run(ctx context.Context) error { return a.svc.Run(ctx) }
 
-	graph := flowgraph.New()
-	ing := &apIngressBlock{a: a}
-	sch := &apSchedBlock{a: a}
-	if err := graph.Add(ing); err != nil {
-		return err
-	}
-	if err := graph.Add(sch); err != nil {
-		return err
-	}
-	if err := graph.Connect(ing, 0, sch, 0); err != nil {
-		return err
-	}
-	if err := graph.SetPolicy(flowgraph.Policy{
-		MaxRestarts: 4,
-		TrackHealth: true,
-		Metrics:     a.cfg.Registry,
-		Logger:      a.log,
-		Clock:       a.clk,
-		OnRestart: func(block string, attempt int, err error) {
-			reason := ""
-			if err != nil {
-				reason = err.Error()
-			}
-			a.hub.Publish(stream.Event{
-				Type:  stream.EventSupervisorRestart,
-				Block: block, Attempt: attempt, Reason: reason,
-			})
-		},
-	}); err != nil {
-		return err
-	}
-	err := graph.Run(runCtx)
-	cancel()
-	<-stopped
-	if ctx.Err() != nil {
-		return nil
-	}
-	return err
-}
-
-// apIngressBlock parks on the socket and queues inbound datagrams, ringing
-// the doorbell chunk toward the scheduler block.
-type apIngressBlock struct{ a *AP }
-
-func (b *apIngressBlock) Name() string { return "ap-ingress" }
-func (b *apIngressBlock) Inputs() int  { return 0 }
-func (b *apIngressBlock) Outputs() int { return 1 }
-
-func (b *apIngressBlock) Run(ctx context.Context, _ []<-chan flowgraph.Chunk, out []chan<- flowgraph.Chunk) error {
-	a := b.a
-	buf := make([]byte, 64*1024)
-	for {
-		n, addr, err := a.conn.ReadFromUDP(buf)
-		if err != nil {
-			a.mu.Lock()
-			closed := a.closed
-			a.mu.Unlock()
-			if closed || ctx.Err() != nil {
-				return nil
-			}
-			return flowgraph.Recoverable(err)
-		}
-		d := datagram{data: append([]byte(nil), buf[:n]...), addr: addr} //mimonet:alloc-ok datagram escapes to the sched block
-		a.mu.Lock()
-		a.inbox = append(a.inbox, d) //mimonet:alloc-ok inbox batches datagrams between doorbells
-		a.mu.Unlock()
-		if !flowgraph.Send(ctx, out[0], nil) {
-			return nil
-		}
-	}
-}
-
-// apSchedBlock is the single-threaded brain: it drains the ingress inbox on
-// each doorbell and runs the downlink scheduling round on every tick, so
-// the table, cache, and ARQ state need no further locking.
-type apSchedBlock struct{ a *AP }
-
-func (b *apSchedBlock) Name() string { return "ap-sched" }
-func (b *apSchedBlock) Inputs() int  { return 1 }
-func (b *apSchedBlock) Outputs() int { return 0 }
-
-func (b *apSchedBlock) Run(ctx context.Context, in []<-chan flowgraph.Chunk, _ []chan<- flowgraph.Chunk) error {
-	a := b.a
-	ticker := a.clk.NewTicker(a.cfg.TickInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case _, ok := <-in[0]:
-			if !ok {
-				return nil
-			}
-			for _, d := range a.drainInbox() {
-				a.route(d)
-			}
-		case <-ticker.C:
-			a.tick()
-		}
-	}
-}
-
-func (a *AP) drainInbox() []datagram {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := a.inbox
-	a.inbox = nil
-	return out
-}
-
-// route handles one inbound station datagram: v4/v3 radio framing around an
-// apmac control message.
-func (a *AP) route(d datagram) {
-	h, err := radio.DecodeHeader(d.data)
-	if err != nil || !h.IsData() {
-		return
-	}
-	body, err := radio.DecodeDataPayload(h, d.data[h.HeaderLen():])
-	if err != nil {
-		return
-	}
+// route handles one inbound station data frame: an apmac control message
+// keyed by station ID, or by the station's nonce on an association request.
+func (a *AP) route(h radio.Header, body []byte, from *net.UDPAddr) {
 	m, err := DecodeMessage(body)
 	if err != nil {
 		return
 	}
+	if m.Kind != KindAssoc && h.ID > math.MaxUint16 {
+		// The ID arrives from outside: only a nonce may be wider than a
+		// station ID.
+		return
+	}
+	id := uint16(h.ID)
 	switch m.Kind {
 	case KindAssoc:
 		s, err := a.table.Associate(m.Nonce, int(m.RXAntennas))
@@ -317,12 +184,11 @@ func (a *AP) route(d datagram) {
 			a.log.Warn("association refused", slog.String("err", err.Error()))
 			return
 		}
-		a.addrs[s.ID] = d.addr
+		a.addrs[s.ID] = from
 		if _, ok := a.links[s.ID]; !ok {
 			a.links[s.ID] = &linkStats{}
 		}
-		//mimonet:eob-ok control reply, not a forwarded burst segment
-		a.send(d.addr, radio.Header{StationID: s.ID}, &Msg{
+		a.send(from, s.ID, &Msg{
 			Kind: KindAssocAck, AssignedID: s.ID, Slot: s.Slot,
 			CWMinExp: DefaultCWMinExp, CWMaxExp: DefaultCWMaxExp,
 		})
@@ -331,18 +197,15 @@ func (a *AP) route(d datagram) {
 		a.log.Info("station associated", slog.Int("station", int(s.ID)),
 			slog.Int("slot", int(s.Slot)), slog.Int("rx_antennas", int(s.RXAntennas)))
 	case KindFeedback:
-		if h.StationID == 0 {
-			return
-		}
-		a.table.Touch(h.StationID)
-		a.addrs[h.StationID] = d.addr
+		a.table.Touch(id)
+		a.addrs[id] = from
 		snr := dbToLinear(a.cfg.SNRdB)
-		if _, err := a.cache.UpdateFeedback(h.StationID, m.Feedback, snr); err != nil {
-			a.log.Warn("feedback rejected", slog.Int("station", int(h.StationID)),
+		if _, err := a.cache.UpdateFeedback(id, m.Feedback, snr); err != nil {
+			a.log.Warn("feedback rejected", slog.Int("station", int(id)),
 				slog.String("err", err.Error()))
 		}
 	case KindBlockAck:
-		st, ok := a.table.Get(h.StationID)
+		st, ok := a.table.Get(id)
 		if !ok {
 			return
 		}
@@ -355,18 +218,18 @@ func (a *AP) route(d datagram) {
 		}
 	case KindData:
 		// Uplink data: acknowledge liveness only at this model level.
-		a.table.Touch(h.StationID)
+		a.table.Touch(id)
 	case KindBye:
-		if a.table.Teardown(h.StationID) {
-			a.cache.Remove(h.StationID)
-			delete(a.addrs, h.StationID)
+		if a.table.Teardown(id) {
+			a.cache.Remove(id)
+			delete(a.addrs, id)
 			reason := m.Reason
 			if reason == "" {
 				reason = "bye"
 			}
 			a.hub.Publish(stream.Event{Type: stream.EventStationDrop,
-				Station: h.StationID, Reason: reason})
-			a.log.Info("station departed", slog.Int("station", int(h.StationID)),
+				Station: id, Reason: reason})
+			a.log.Info("station departed", slog.Int("station", int(id)),
 				slog.String("reason", m.Reason))
 		}
 	case KindAssocAck, KindSound:
@@ -395,7 +258,7 @@ func (a *AP) tick() {
 		a.token++
 		for _, id := range ids {
 			if addr, ok := a.addrs[id]; ok {
-				a.send(addr, radio.Header{StationID: id}, &Msg{Kind: KindSound, Token: a.token})
+				a.send(addr, id, &Msg{Kind: KindSound, Token: a.token})
 			}
 		}
 	}
@@ -446,8 +309,7 @@ func (a *AP) tick() {
 			if err != nil {
 				continue
 			}
-			a.send(addr, radio.Header{StationID: member.Station, GroupBitmap: group.Bitmap},
-				&Msg{Kind: KindData, MPDU: mpdu})
+			a.send(addr, member.Station, &Msg{Kind: KindData, MPDU: mpdu})
 		}
 		if ls.attempts > 0 {
 			a.table.ReportPER(st, 1-float64(ls.delivered)/float64(ls.attempts))
@@ -465,20 +327,12 @@ func (a *AP) payloadFor(id uint16) []byte {
 	return p
 }
 
-// send encodes one control message into a radio data frame. Frames carrying
-// a zero station ID (pre-association) ride the nonce in the session field.
-func (a *AP) send(addr *net.UDPAddr, h radio.Header, m *Msg) {
-	payload, err := AppendMessage(nil, m)
-	if err != nil {
-		return
+// send encodes one message to a station as a data frame keyed by its ID.
+func (a *AP) send(addr *net.UDPAddr, station uint16, m *Msg) {
+	if payload, err := AppendMessage(nil, m); err == nil {
+		a.seq++
+		a.svc.Send(addr, uint64(station), a.seq, payload)
 	}
-	a.seq++
-	h.Seq = a.seq
-	frame, err := radio.EncodeDataFrame(nil, h, payload)
-	if err != nil {
-		return
-	}
-	a.conn.WriteToUDP(frame, addr) //nolint:errcheck // lossy link: errors equal loss
 }
 
 func dbToLinear(db float64) float64 { return math.Pow(10, db/10) }

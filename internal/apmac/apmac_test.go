@@ -11,18 +11,20 @@ import (
 	"repro/internal/obs"
 )
 
+// sampleMessages holds one message of every kind.
+var sampleMessages = []*Msg{
+	{Kind: KindAssoc, Nonce: 0xDEADBEEF, RXAntennas: 2},
+	{Kind: KindAssocAck, AssignedID: 17, Slot: 5, CWMinExp: 4, CWMaxExp: 10},
+	{Kind: KindSound, Token: 99},
+	{Kind: KindFeedback, Token: 100, Feedback: bytes.Repeat([]byte{0x7E}, 40)},
+	{Kind: KindData, MPDU: []byte{1, 2, 3, 4, 5}},
+	{Kind: KindBlockAck, Ack: mac.BlockAck{Start: 7, Bitmap: 0b1011}},
+	{Kind: KindBye, Reason: "draining"},
+	{Kind: KindBye},
+}
+
 func TestWireRoundTrip(t *testing.T) {
-	msgs := []*Msg{
-		{Kind: KindAssoc, Nonce: 0xDEADBEEF, RXAntennas: 2},
-		{Kind: KindAssocAck, AssignedID: 17, Slot: 5, CWMinExp: 4, CWMaxExp: 10},
-		{Kind: KindSound, Token: 99},
-		{Kind: KindFeedback, Token: 100, Feedback: bytes.Repeat([]byte{0x7E}, 40)},
-		{Kind: KindData, MPDU: []byte{1, 2, 3, 4, 5}},
-		{Kind: KindBlockAck, Ack: mac.BlockAck{Start: 7, Bitmap: 0b1011}},
-		{Kind: KindBye, Reason: "draining"},
-		{Kind: KindBye},
-	}
-	for _, m := range msgs {
+	for _, m := range sampleMessages {
 		b, err := AppendMessage(nil, m)
 		if err != nil {
 			t.Fatalf("%v: %v", m.Kind, err)

@@ -34,6 +34,7 @@ type Client struct {
 	id    uint16
 	seq   uint64
 	nonce uint64
+	rdBuf []byte
 
 	// Received-window state for block acks.
 	haveMax  uint16
@@ -136,6 +137,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		conn:  conn,
 		rng:   rng,
 		nonce: uint64(rng.Int63()) | 1, // non-zero: pre-association demux key
+		rdBuf: make([]byte, 64*1024),
 	}
 	s.h = drawChannel(rng, cfg.NRX, cfg.NTX)
 	return s, nil
@@ -152,12 +154,12 @@ func (s *Client) Run(ctx context.Context) error {
 		slog.Int("tries", s.Snapshot().AssocTries))
 	for {
 		if ctx.Err() != nil {
-			s.sendMsg(radio.Header{StationID: s.id}, &Msg{Kind: KindBye, Reason: "shutdown"})
+			s.sendMsg(uint64(s.id), &Msg{Kind: KindBye, Reason: "shutdown"})
 			return nil
 		}
-		m, _, err := s.readMsg(s.clk.Now().Add(200 * time.Millisecond))
+		m, err := s.readMsg(s.clk.Now().Add(200 * time.Millisecond))
 		if err != nil {
-			continue // timeout or a corrupt frame: keep serving
+			continue // timeout: keep serving
 		}
 		switch m.Kind {
 		case KindSound:
@@ -166,7 +168,7 @@ func (s *Client) Run(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
-			s.sendMsg(radio.Header{StationID: s.id}, &Msg{Kind: KindFeedback, Token: m.Token, Feedback: fb})
+			s.sendMsg(uint64(s.id), &Msg{Kind: KindFeedback, Token: m.Token, Feedback: fb})
 		case KindData:
 			f, err := mac.Decode(m.MPDU)
 			if err != nil {
@@ -202,12 +204,12 @@ func (s *Client) associate(ctx context.Context) error {
 			return ctx.Err()
 		}
 		s.bump(func(st *ClientStats) { st.AssocTries++ })
-		s.sendMsg(radio.Header{SessionID: s.nonce}, &Msg{
+		s.sendMsg(s.nonce, &Msg{
 			Kind: KindAssoc, Nonce: s.nonce, RXAntennas: uint8(s.cfg.NRX),
 		})
 		deadline := s.clk.Now().Add(s.cfg.AssocTimeout)
-		for s.clk.Now().Before(deadline) {
-			m, _, err := s.readMsg(deadline)
+		for {
+			m, err := s.readMsg(deadline)
 			if err != nil {
 				break
 			}
@@ -280,47 +282,48 @@ func (s *Client) sendAck() {
 	start := (s.haveMax - 63) & 0x0FFF
 	bitmap := s.haveBits
 	s.bump(func(st *ClientStats) { st.AcksSent++ })
-	s.sendMsg(radio.Header{StationID: s.id}, &Msg{
+	s.sendMsg(uint64(s.id), &Msg{
 		Kind: KindBlockAck, Ack: mac.BlockAck{Start: start, Bitmap: bitmap},
 	})
 }
 
-// sendMsg encodes one control message into a radio data frame.
-func (s *Client) sendMsg(h radio.Header, m *Msg) {
+// sendMsg encodes one control message into a radio data frame keyed by id:
+// the station ID once associated, the nonce before.
+func (s *Client) sendMsg(id uint64, m *Msg) {
 	payload, err := AppendMessage(nil, m)
 	if err != nil {
 		return
 	}
 	s.seq++
-	h.Seq = s.seq
-	frame, err := radio.EncodeDataFrame(nil, h, payload)
+	frame, err := radio.EncodeDataFrame(nil, radio.Header{Seq: s.seq, ID: id}, payload)
 	if err != nil {
 		return
 	}
 	s.conn.Write(frame) //nolint:errcheck // lossy link: errors equal loss
 }
 
-// readMsg blocks for one decoded AP message until the absolute deadline.
-func (s *Client) readMsg(deadline time.Time) (*Msg, radio.Header, error) {
-	buf := make([]byte, 64*1024)
+// readMsg blocks until one well-formed AP message arrives or the absolute
+// deadline passes. Undecodable datagrams are skipped. The message aliases
+// the client's read buffer, valid until the next call.
+func (s *Client) readMsg(deadline time.Time) (*Msg, error) {
 	if err := s.conn.SetReadDeadline(deadline); err != nil {
-		return nil, radio.Header{}, err
+		return nil, err
 	}
-	n, err := s.conn.Read(buf)
-	if err != nil {
-		return nil, radio.Header{}, err
+	for {
+		n, err := s.conn.Read(s.rdBuf)
+		if err != nil {
+			return nil, err
+		}
+		h, err := radio.DecodeHeader(s.rdBuf[:n])
+		if err != nil {
+			continue
+		}
+		body, err := radio.DecodeDataPayload(h, s.rdBuf[h.HeaderLen():n])
+		if err != nil {
+			continue
+		}
+		if m, err := DecodeMessage(body); err == nil {
+			return m, nil
+		}
 	}
-	h, err := radio.DecodeHeader(buf[:n])
-	if err != nil || !h.IsData() {
-		return nil, radio.Header{}, fmt.Errorf("apmac: undecodable frame")
-	}
-	body, err := radio.DecodeDataPayload(h, buf[h.HeaderLen():n])
-	if err != nil {
-		return nil, h, err
-	}
-	m, err := DecodeMessage(body)
-	if err != nil {
-		return nil, h, err
-	}
-	return m, h, nil
 }

@@ -2,9 +2,9 @@
 // association/teardown lifecycle handing out station IDs, slotted
 // contention with seeded binary-exponential backoff for the shared uplink,
 // and per-station ARQ state reusing internal/mac's Block Ack machinery.
-// Control messages ride radio version-4 data frames keyed by station ID,
-// with the same kind(1)+body+FCS(4) integrity envelope the session gateway
-// uses.
+// Messages ride radio data frames whose header ID is the station ID — the
+// station's association nonce before it has one — with the same
+// kind(1)+body+FCS(4) integrity envelope the session gateway uses.
 package apmac
 
 import (
@@ -199,8 +199,8 @@ func DecodeMessage(b []byte) (*Msg, error) {
 			return nil, err
 		}
 		m.Token = binary.BigEndian.Uint32(body[0:])
-		if len(body) == 4 {
-			return nil, fmt.Errorf("apmac: feedback message without CSI bytes")
+		if n := len(body) - 4; n == 0 || n > MaxFeedbackBytes {
+			return nil, fmt.Errorf("apmac: feedback payload %d outside [1, %d]", n, MaxFeedbackBytes)
 		}
 		m.Feedback = body[4:]
 	case KindData:
@@ -219,7 +219,7 @@ func DecodeMessage(b []byte) (*Msg, error) {
 			return nil, err
 		}
 		n := int(body[0])
-		if len(body) < 1+n {
+		if n > maxByeReason || len(body) < 1+n {
 			return nil, fmt.Errorf("apmac: bye reason %d bytes, have %d", n, len(body)-1)
 		}
 		m.Reason = string(body[1 : 1+n])

@@ -64,8 +64,8 @@ func Decode(psdu []byte) (*Frame, error) {
 	if !ok {
 		return nil, fmt.Errorf("mac: FCS check failed")
 	}
-	if len(body) < headerLen {
-		return nil, fmt.Errorf("mac: frame body %d shorter than header", len(body))
+	if len(body) < headerLen || len(body) > headerLen+MaxPayload {
+		return nil, fmt.Errorf("mac: frame body %d outside [%d, %d]", len(body), headerLen, headerLen+MaxPayload)
 	}
 	fc := binary.LittleEndian.Uint16(body[0:])
 	if fc != frameControlData {

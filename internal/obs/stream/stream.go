@@ -209,6 +209,20 @@ func (h *Hub) Publish(ev Event) {
 	h.mu.Unlock()
 }
 
+// PublishRestart journals one supervisor restart. It has the signature of
+// flowgraph.Policy.OnRestart, so a supervised service passes
+// hub.PublishRestart straight through. Safe on a nil hub.
+func (h *Hub) PublishRestart(block string, attempt int, err error) {
+	if h == nil {
+		return
+	}
+	ev := Event{Type: EventSupervisorRestart, Block: block, Attempt: attempt}
+	if err != nil {
+		ev.Reason = err.Error()
+	}
+	h.Publish(ev)
+}
+
 // broadcastLocked offers f to every subscriber without ever blocking: a
 // subscriber whose bounded queue is full is stalled, so it is removed and
 // its channel closed — the slow-subscriber drop policy. Caller holds h.mu.

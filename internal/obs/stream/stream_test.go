@@ -3,6 +3,7 @@ package stream_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
@@ -313,6 +314,7 @@ func TestTickSurfacesFailedTraces(t *testing.T) {
 func TestNilHubIsSafe(t *testing.T) {
 	var h *stream.Hub
 	h.Publish(stream.Event{Type: stream.EventSessionOpened})
+	h.PublishRestart("gw-demux", 1, errors.New("panic"))
 	h.Tick()
 	h.Run(context.Background())
 	if h.Subscribers() != 0 || h.Node() != "" {
@@ -320,5 +322,24 @@ func TestNilHubIsSafe(t *testing.T) {
 	}
 	if _, err := h.Subscribe(); err == nil {
 		t.Fatal("nil hub Subscribe succeeded")
+	}
+}
+
+// TestPublishRestartJournals: the supervisor-restart hook journals the
+// block, the attempt and the failure that caused the restart.
+func TestPublishRestartJournals(t *testing.T) {
+	h := stream.NewHub(stream.Config{Node: "gw", Clock: clock.NewFake(time.Unix(3000, 0))})
+	h.PublishRestart("gw-demux", 2, errors.New("panic: boom"))
+	sub, err := h.Subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if f := recv(t, sub.C); f.Event != "hello" {
+		t.Fatalf("first frame = %q, want hello", f.Event)
+	}
+	ev := decodeEvent(t, recv(t, sub.C))
+	if ev.Type != stream.EventSupervisorRestart || ev.Block != "gw-demux" || ev.Attempt != 2 || ev.Reason != "panic: boom" {
+		t.Fatalf("journal event = %+v", ev)
 	}
 }

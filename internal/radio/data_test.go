@@ -8,7 +8,7 @@ import (
 
 func TestDataFrameRoundTrip(t *testing.T) {
 	payload := []byte("session-layer message body")
-	h := Header{Seq: 9, PacketID: 77, SessionID: 0xDEADBEEF, Flags: FlagEndOfBurst}
+	h := Header{Seq: 9, ID: 0xDEADBEEF, Flags: FlagEndOfBurst}
 	enc, err := EncodeDataFrame(nil, h, payload)
 	if err != nil {
 		t.Fatal(err)
@@ -23,14 +23,14 @@ func TestDataFrameRoundTrip(t *testing.T) {
 	if got.Flags&FlagEndOfBurst == 0 {
 		t.Error("decoded header lost end-of-burst flag")
 	}
-	if got.SessionID != h.SessionID || got.PacketID != h.PacketID || got.Seq != h.Seq {
-		t.Errorf("decoded header = %+v, want session=%d packet=%d seq=%d", got, h.SessionID, h.PacketID, h.Seq)
+	if got.ID != h.ID || got.Seq != h.Seq {
+		t.Errorf("decoded header = %+v, want id=%d seq=%d", got, h.ID, h.Seq)
 	}
 	if got.Streams != 1 || got.Count != len(payload) {
 		t.Errorf("decoded shape streams=%d count=%d, want 1, %d", got.Streams, got.Count, len(payload))
 	}
-	if got.HeaderLen() != headerSizeV3 {
-		t.Errorf("HeaderLen = %d, want %d", got.HeaderLen(), headerSizeV3)
+	if got.HeaderLen() != headerSize || len(enc) != headerSize+len(payload) {
+		t.Errorf("HeaderLen = %d, frame %d bytes; want %d, %d", got.HeaderLen(), len(enc), headerSize, headerSize+len(payload))
 	}
 	body, err := DecodeDataPayload(got, enc[got.HeaderLen():])
 	if err != nil {
@@ -43,42 +43,30 @@ func TestDataFrameRoundTrip(t *testing.T) {
 
 func TestDataFrameValidation(t *testing.T) {
 	payload := []byte("x")
-	if _, err := EncodeDataFrame(nil, Header{SessionID: 0}, payload); err == nil {
-		t.Error("zero session ID accepted")
+	if _, err := EncodeDataFrame(nil, Header{ID: 0}, payload); err == nil {
+		t.Error("zero ID accepted")
 	}
-	if _, err := EncodeDataFrame(nil, Header{SessionID: 1}, nil); err == nil {
+	if _, err := EncodeDataFrame(nil, Header{ID: 1}, nil); err == nil {
 		t.Error("empty payload accepted")
 	}
-	if _, err := EncodeDataFrame(nil, Header{SessionID: 1}, make([]byte, MaxDataPayload+1)); err == nil {
+	if _, err := EncodeDataFrame(nil, Header{ID: 1}, make([]byte, MaxDataPayload+1)); err == nil {
 		t.Error("oversized payload accepted")
 	}
-	if _, err := EncodeFrame(nil, Header{Streams: 1, Flags: FlagData, SessionID: 1}, [][]complex128{{1}}); err == nil {
+	if _, err := EncodeFrame(nil, Header{Streams: 1, Flags: FlagData, ID: 1}, [][]complex128{{1}}); err == nil {
 		t.Error("EncodeFrame accepted a data flag")
 	}
 
-	enc, err := EncodeDataFrame(nil, Header{SessionID: 5}, payload)
+	enc, err := EncodeDataFrame(nil, Header{ID: 5}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncating the session field must fail cleanly, not panic.
-	for cut := headerSizeV2; cut < headerSizeV3; cut++ {
-		if _, err := DecodeHeader(enc[:cut]); err == nil {
-			t.Errorf("truncated v3 header (%d bytes) accepted", cut)
-		}
-	}
-	// A v2 header claiming a data payload has no session field to carry it.
-	v2 := append([]byte(nil), enc[:headerSizeV2]...)
-	v2[4] = frameVersion
-	if _, err := DecodeHeader(v2); err == nil {
-		t.Error("v2 data frame accepted")
-	}
-	// Zeroing the session field of a data frame must be rejected.
+	// Zeroing the ID field of a data frame must be rejected.
 	zeroed := append([]byte(nil), enc...)
-	for i := 28; i < 36; i++ {
+	for i := 20; i < headerSize; i++ {
 		zeroed[i] = 0
 	}
 	if _, err := DecodeHeader(zeroed); err == nil {
-		t.Error("data frame with zeroed session field accepted")
+		t.Error("data frame with zeroed ID accepted")
 	}
 	// Sample decode paths must refuse data frames with typed errors.
 	h, err := DecodeHeader(enc)
@@ -93,33 +81,8 @@ func TestDataFrameValidation(t *testing.T) {
 	}
 }
 
-func TestSessionSampleFrameRoundTrip(t *testing.T) {
-	// Sample frames can also carry a session ID (v3 form) — the gateway's
-	// future IQ path — and stay byte-compatible with sessionless v2 frames.
-	burst := [][]complex128{{1 + 2i, 3 - 4i}}
-	h := Header{Streams: 1, Count: 2, Seq: 3, SessionID: 42, Flags: FlagEndOfBurst}
-	enc, err := EncodeFrame(nil, h, burst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeHeader(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SessionID != 42 || got.HeaderLen() != headerSizeV3 {
-		t.Errorf("session sample frame: got session=%d len=%d", got.SessionID, got.HeaderLen())
-	}
-	dst, err := DecodePayload(make([][]complex128, 1), got, enc[got.HeaderLen():])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dst[0]) != 2 {
-		t.Errorf("decoded %d samples, want 2", len(dst[0]))
-	}
-}
-
 func TestStreamReaderRejectsDataFrames(t *testing.T) {
-	enc, err := EncodeDataFrame(nil, Header{SessionID: 7, Flags: FlagEndOfBurst}, []byte("hi"))
+	enc, err := EncodeDataFrame(nil, Header{ID: 7, Flags: FlagEndOfBurst}, []byte("hi"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,9 @@
 // synchronized multi-antenna complex baseband over any io.Reader/io.Writer
 // (TCP), over UDP datagrams with loss detection, or in-process. Samples are
 // serialized as interleaved float32 I/Q, the format SDR front-ends commonly
-// emit.
+// emit. The same frame carries opaque data payloads, which DatagramService
+// serves over one supervised UDP socket for the session gateway and the
+// multi-user AP.
 package radio
 
 import (
@@ -13,72 +15,40 @@ import (
 	"math"
 )
 
-// Frame format (big-endian):
+// Frame layout: one fixed 28-byte header, big-endian, then the payload.
 //
-//	magic   uint32  "MNIQ" (0x4D4E4951)
-//	version uint8   4 (1 = legacy, no packet field; 2 = no session field;
-//	                3 = no station fields)
-//	streams uint8   number of antenna streams (1-4)
-//	flags   uint16  bit 0: end-of-burst; bit 1: data payload (version ≥ 3)
-//	seq     uint64  frame sequence number
-//	count   uint32  samples per stream — or payload bytes for a data frame
-//	packet  uint64  TX-assigned packet ID (version ≥ 2; 0 = unknown)
-//	session uint64  session ID (version ≥ 3; 0 = sessionless)
-//	station uint16  AP-assigned station ID (version ≥ 4; 0 = unassociated)
-//	group   uint64  MU group bitmap (version ≥ 4; bit i = station slot i
-//	                addressed by this transmission; 0 = single-user)
-//	payload streams × count × (float32 I, float32 Q), stream-major —
-//	        or count opaque bytes for a data frame
+//	magic   [0-3]   uint32  "MNIQ" (0x4D4E4951)
+//	version [4]     uint8   2
+//	streams [5]     uint8   antenna streams (1-4); 1 on a data frame
+//	flags   [6-7]   uint16  bit 0: end of burst; bit 1: data payload
+//	seq     [8-15]  uint64  frame sequence number
+//	count   [16-19] uint32  samples per stream, or payload bytes on a data frame
+//	id      [20-27] uint64  demultiplexing key (Header.ID)
+//	payload [28-]   streams × count × (float32 I, float32 Q), stream-major,
+//	                or count opaque bytes on a data frame
 //
-// The packet ID is the cross-process correlation key: the transmitter stamps
-// every frame of a burst with the MAC packet it carries, so receive-side
-// traces and flight-recorder dumps can be joined to the TX record without
-// decoding the payload. Version 1 frames (pre-ID) still decode, with ID 0.
-//
-// The session ID is the demultiplexing key of the session gateway
-// (internal/session): a long-running process serves many independent links
-// over one socket, routing each frame to its session by this field. Data
-// frames (FlagData) carry opaque session-layer bytes instead of IQ samples
-// and use the version-3 or version-4 form; sample paths reject them with
-// typed errors. Version 1 and 2 frames still decode, with session ID 0.
-//
-// The station ID and group bitmap are the multi-user extension
-// (internal/apmac, internal/mumimo): an access point serves many stations
-// over one socket, routing uplink frames to per-station MAC state by the
-// station field and announcing which station slots a precoded downlink
-// burst addresses through the group bitmap. EncodeFrame/EncodeDataFrame
-// select the version-4 form automatically when either field is present;
-// versions 1-3 still decode, with station 0 and an empty bitmap.
+// A 1-stream datagram of 180 samples is 1468 bytes, inside a 1500-byte MTU
+// with the IP and UDP headers.
 const (
 	frameMagic   = 0x4D4E4951
 	frameVersion = 2
-	// frameVersionSession is the extended form carrying the session field;
-	// EncodeFrame selects it automatically when a session ID is present.
-	frameVersionSession = 3
-	// frameVersionMU is the multi-user form carrying the station ID and
-	// group bitmap; selected automatically when either field is present.
-	frameVersionMU = 4
-	headerSizeV1   = 4 + 1 + 1 + 2 + 8 + 4
-	headerSizeV2   = headerSizeV1 + 8
-	headerSize     = headerSizeV2
-	headerSizeV3   = headerSizeV2 + 8
-	headerSizeV4   = headerSizeV3 + 2 + 8
+	headerSize   = 28
 
 	// MaxSamplesPerFrame bounds a frame to fit a UDP datagram under the
 	// common 1500-byte MTU minus headers when streaming one antenna; the
 	// writer splits larger bursts automatically.
 	MaxSamplesPerFrame = 4096
 
-	// MaxDataPayload bounds a data frame's byte payload so one session
-	// message always fits a single UDP datagram under the common MTU.
+	// MaxDataPayload bounds a data frame's byte payload so one message
+	// always fits a single UDP datagram under the common MTU.
 	MaxDataPayload = 1400
 )
 
 // FlagEndOfBurst marks the final frame of a burst (packet).
 const FlagEndOfBurst = 1 << 0
 
-// FlagData marks a frame whose payload is Count opaque bytes (session-layer
-// messages) rather than IQ samples. Requires the version-3 header form.
+// FlagData marks a frame whose payload is Count opaque bytes (session or AP
+// MAC messages) rather than IQ samples.
 const FlagData = 1 << 1
 
 // Header describes one frame.
@@ -87,60 +57,26 @@ type Header struct {
 	Flags   uint16
 	Seq     uint64
 	Count   int
-	// PacketID is the TX-assigned MAC packet this frame's samples belong to
-	// (0 = unknown / legacy frame).
-	PacketID uint64
-	// SessionID identifies the gateway session this frame belongs to
-	// (0 = sessionless; carried by the version-3/4 wire forms).
-	SessionID uint64
-	// StationID identifies the associated station this frame belongs to at
-	// a multi-user access point (0 = unassociated; carried only by the
-	// version-4 wire form).
-	StationID uint16
-	// GroupBitmap announces the MU group of a precoded downlink burst:
-	// bit i set means station slot i is addressed by this transmission
-	// (0 = single-user; carried only by the version-4 wire form).
-	GroupBitmap uint64
-	// wireVersion records a decoded non-default wire form (1, 3, or 4);
-	// zero for the default version-2 form and on caller-built headers,
-	// whose form EncodeFrame derives from the fields present.
-	wireVersion byte
+	// ID is the frame's one demultiplexing key. On a sample frame it is the
+	// TX-assigned packet ID (0 = unknown): the transmitter stamps every
+	// frame of a burst with it, so receive-side traces and flight-recorder
+	// dumps join the TX record without decoding the payload. On a data
+	// frame it names the owner of the bytes — a session ID, a station ID or
+	// an association nonce — and is never 0; what it names is the owning
+	// protocol's business, not the radio layer's.
+	ID uint64
 }
-
-// isMU reports whether the header carries multi-user fields that force the
-// version-4 wire form.
-func (h Header) isMU() bool { return h.StationID != 0 || h.GroupBitmap != 0 }
 
 // IsData reports whether the frame carries opaque bytes rather than samples.
 func (h Header) IsData() bool { return h.Flags&FlagData != 0 }
 
-// HeaderLen returns the wire size of this header — the payload offset within
-// its frame. Decoded headers report their wire form; caller-built headers
-// report the form EncodeFrame would choose.
-func (h Header) HeaderLen() int {
-	switch h.wireVersion {
-	case 1:
-		return headerSizeV1
-	case frameVersion:
-		return headerSizeV2
-	case frameVersionSession:
-		return headerSizeV3
-	case frameVersionMU:
-		return headerSizeV4
-	}
-	if h.isMU() {
-		return headerSizeV4
-	}
-	if h.SessionID != 0 || h.IsData() {
-		return headerSizeV3
-	}
-	return headerSizeV2
-}
+// HeaderLen returns the wire size of the header, the payload offset within
+// its frame. Every frame has the same header.
+func (Header) HeaderLen() int { return headerSize }
 
 // EncodeFrame appends one frame carrying samples[stream][i] to dst and
 // returns the extended buffer. All streams must have equal length ≤
-// MaxSamplesPerFrame. A non-zero SessionID selects the version-3 wire form;
-// data frames are encoded by EncodeDataFrame, not here.
+// MaxSamplesPerFrame; data frames are encoded by EncodeDataFrame, not here.
 func EncodeFrame(dst []byte, h Header, samples [][]complex128) ([]byte, error) {
 	if h.IsData() {
 		return nil, fmt.Errorf("radio: EncodeFrame carries samples; use EncodeDataFrame for data frames")
@@ -169,43 +105,27 @@ func EncodeFrame(dst []byte, h Header, samples [][]complex128) ([]byte, error) {
 	return dst, nil
 }
 
-// appendHeader serializes h with the given count field, choosing the
-// version-2 form for sessionless sample frames, version 4 when multi-user
-// fields are present, and version 3 otherwise.
+// appendHeader serializes h with the given count field.
 func appendHeader(dst []byte, h Header, count int) []byte {
-	var hdr [headerSizeV4]byte
+	var hdr [headerSize]byte
 	binary.BigEndian.PutUint32(hdr[0:], frameMagic)
+	hdr[4] = frameVersion
 	hdr[5] = byte(h.Streams)
 	binary.BigEndian.PutUint16(hdr[6:], h.Flags)
 	binary.BigEndian.PutUint64(hdr[8:], h.Seq)
 	binary.BigEndian.PutUint32(hdr[16:], uint32(count))
-	binary.BigEndian.PutUint64(hdr[20:], h.PacketID)
-	if h.isMU() {
-		hdr[4] = frameVersionMU
-		binary.BigEndian.PutUint64(hdr[28:], h.SessionID)
-		binary.BigEndian.PutUint16(hdr[36:], h.StationID)
-		binary.BigEndian.PutUint64(hdr[38:], h.GroupBitmap)
-		return append(dst, hdr[:headerSizeV4]...)
-	}
-	if h.SessionID == 0 && !h.IsData() {
-		hdr[4] = frameVersion
-		return append(dst, hdr[:headerSizeV2]...)
-	}
-	hdr[4] = frameVersionSession
-	binary.BigEndian.PutUint64(hdr[28:], h.SessionID)
-	return append(dst, hdr[:headerSizeV3]...)
+	binary.BigEndian.PutUint64(hdr[20:], h.ID)
+	return append(dst, hdr[:headerSize]...)
 }
 
-// EncodeDataFrame appends one version-3 (or version-4, when multi-user
-// fields are present) data frame carrying payload to dst and returns the
-// extended buffer. The header's Streams and Count are implied
-// (1, len(payload)); FlagData is set automatically and the end-of-burst
-// flag is preserved. Data frames are the transport of the session gateway
-// and the AP MAC, so a demultiplexing key — a non-zero SessionID or
-// StationID — is required.
+// EncodeDataFrame appends one data frame carrying payload to dst and returns
+// the extended buffer. The header's Streams and Count are implied
+// (1, len(payload)); FlagData is set automatically and the end-of-burst flag
+// is preserved. Data frames are routed by their owner, so a non-zero ID is
+// required.
 func EncodeDataFrame(dst []byte, h Header, payload []byte) ([]byte, error) {
-	if h.SessionID == 0 && h.StationID == 0 {
-		return nil, fmt.Errorf("radio: data frames require a non-zero session or station ID")
+	if h.ID == 0 {
+		return nil, fmt.Errorf("radio: data frames require a non-zero ID")
 	}
 	if len(payload) == 0 || len(payload) > MaxDataPayload {
 		return nil, fmt.Errorf("radio: data payload %d outside [1, %d]", len(payload), MaxDataPayload)
@@ -229,59 +149,28 @@ func DecodeDataPayload(h Header, b []byte) ([]byte, error) {
 	return b[:h.Count], nil
 }
 
-// DecodeHeader parses a frame header. The current version-4 form, the
-// version-3 form (no station fields), the version-2 form (no session ID),
-// and the legacy version-1 form (no packet ID) are all accepted; use
-// HeaderLen on the result for the payload offset.
+// DecodeHeader parses a frame header; the payload starts at HeaderLen.
+// Corrupt or truncated input yields typed errors, never panics.
 func DecodeHeader(b []byte) (Header, error) {
-	if len(b) < headerSizeV1 {
-		return Header{}, fmt.Errorf("radio: header needs %d bytes, got %d", headerSizeV1, len(b))
+	if len(b) < headerSize {
+		return Header{}, fmt.Errorf("radio: header needs %d bytes, got %d", headerSize, len(b))
 	}
 	if binary.BigEndian.Uint32(b[0:]) != frameMagic {
 		return Header{}, fmt.Errorf("radio: bad magic %#08x", binary.BigEndian.Uint32(b[0:]))
 	}
-	if b[4] != 1 && b[4] != frameVersion && b[4] != frameVersionSession && b[4] != frameVersionMU {
+	if b[4] != frameVersion {
 		return Header{}, fmt.Errorf("radio: unsupported version %d", b[4])
 	}
-	version := b[4]
 	h := Header{
 		Streams: int(b[5]),
 		Flags:   binary.BigEndian.Uint16(b[6:]),
 		Seq:     binary.BigEndian.Uint64(b[8:]),
 		Count:   int(binary.BigEndian.Uint32(b[16:])),
-	}
-	if version != frameVersion {
-		h.wireVersion = version
-	}
-	if version >= frameVersion {
-		if len(b) < headerSizeV2 {
-			return Header{}, fmt.Errorf("radio: v2 header needs %d bytes, got %d", headerSizeV2, len(b))
-		}
-		h.PacketID = binary.BigEndian.Uint64(b[20:])
-	}
-	if version >= frameVersionSession {
-		if len(b) < headerSizeV3 {
-			return Header{}, fmt.Errorf("radio: v3 header needs %d bytes, got %d", headerSizeV3, len(b))
-		}
-		h.SessionID = binary.BigEndian.Uint64(b[28:])
-	}
-	if version >= frameVersionMU {
-		if len(b) < headerSizeV4 {
-			return Header{}, fmt.Errorf("radio: v4 header needs %d bytes, got %d", headerSizeV4, len(b))
-		}
-		h.StationID = binary.BigEndian.Uint16(b[36:])
-		h.GroupBitmap = binary.BigEndian.Uint64(b[38:])
+		ID:      binary.BigEndian.Uint64(b[20:]),
 	}
 	if h.IsData() {
-		// Data frames: opaque byte payload, single logical stream, only the
-		// session- or MU-extended forms. Truncated or corrupt demux fields
-		// land here as typed errors, never panics.
-		if version != frameVersionSession && version != frameVersionMU {
-			return Header{}, fmt.Errorf("radio: data frame requires the v%d or v%d header form, got v%d",
-				frameVersionSession, frameVersionMU, version)
-		}
-		if h.SessionID == 0 && h.StationID == 0 {
-			return Header{}, fmt.Errorf("radio: data frame with no session or station ID")
+		if h.ID == 0 {
+			return Header{}, fmt.Errorf("radio: data frame with ID 0")
 		}
 		if h.Streams != 1 {
 			return Header{}, fmt.Errorf("radio: data frame stream count %d (want 1)", h.Streams)
@@ -371,7 +260,7 @@ func (w *StreamWriter) WriteBurstID(packetID uint64, samples [][]complex128) err
 		}
 		w.buf = w.buf[:0]
 		var err error
-		w.buf, err = EncodeFrame(w.buf, Header{Streams: w.streams, Flags: flags, Seq: w.seq, Count: end - off, PacketID: packetID}, chunk)
+		w.buf, err = EncodeFrame(w.buf, Header{Streams: w.streams, Flags: flags, Seq: w.seq, Count: end - off, ID: packetID}, chunk)
 		if err != nil {
 			return err
 		}
@@ -386,7 +275,7 @@ func (w *StreamWriter) WriteBurstID(packetID uint64, samples [][]complex128) err
 // StreamReader reads bursts from a stream transport.
 type StreamReader struct {
 	r   io.Reader
-	hdr [headerSizeV4]byte
+	hdr [headerSize]byte
 	buf []byte
 	// lastPacketID is the packet ID carried by the most recently assembled
 	// burst's frames.
@@ -399,7 +288,7 @@ func NewStreamReader(r io.Reader) *StreamReader {
 }
 
 // LastPacketID returns the TX-assigned packet ID of the last burst ReadBurst
-// returned (0 before the first burst or on legacy frames).
+// returned (0 before the first burst or when the sender stamped none).
 func (r *StreamReader) LastPacketID() uint64 { return r.lastPacketID }
 
 // ReadBurst reassembles frames until an end-of-burst flag and returns the
@@ -408,30 +297,13 @@ func (r *StreamReader) LastPacketID() uint64 { return r.lastPacketID }
 func (r *StreamReader) ReadBurst() ([][]complex128, error) {
 	var out [][]complex128
 	for {
-		// Read the short (v1) prefix first; the version byte decides whether
-		// the packet-ID extension follows.
-		if _, err := io.ReadFull(r.r, r.hdr[:headerSizeV1]); err != nil {
+		if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
 			if err == io.EOF && out == nil {
 				return nil, io.EOF
 			}
 			return nil, fmt.Errorf("radio: read header: %w", err)
 		}
-		hl := headerSizeV1
-		switch r.hdr[4] {
-		case 1:
-		case frameVersionSession:
-			hl = headerSizeV3
-		case frameVersionMU:
-			hl = headerSizeV4
-		default:
-			hl = headerSizeV2
-		}
-		if hl > headerSizeV1 {
-			if _, err := io.ReadFull(r.r, r.hdr[headerSizeV1:hl]); err != nil {
-				return nil, fmt.Errorf("radio: read header: %w", err)
-			}
-		}
-		h, err := DecodeHeader(r.hdr[:hl])
+		h, err := DecodeHeader(r.hdr[:])
 		if err != nil {
 			return nil, err
 		}
@@ -448,7 +320,7 @@ func (r *StreamReader) ReadBurst() ([][]complex128, error) {
 		}
 		if out == nil {
 			out = make([][]complex128, h.Streams)
-			r.lastPacketID = h.PacketID
+			r.lastPacketID = h.ID
 		}
 		if len(out) != h.Streams {
 			return nil, fmt.Errorf("radio: stream count changed mid-burst")

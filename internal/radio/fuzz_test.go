@@ -5,10 +5,12 @@ import (
 	"testing"
 )
 
+// fuzzSeedFrames covers the one header's shapes: sample frames without and
+// with a packet ID, and data frames keyed by a session ID, a station ID and
+// an association nonce.
 func fuzzSeedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
-	var seeds [][]byte
-	mk := func(streams, count int, flags uint16, seq uint64) []byte {
+	mk := func(streams, count int, flags uint16, seq, id uint64) []byte {
 		samples := make([][]complex128, streams)
 		for s := range samples {
 			samples[s] = make([]complex128, count)
@@ -16,68 +18,35 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 				samples[s][i] = complex(float64(i), -float64(i))
 			}
 		}
-		b, err := EncodeFrame(nil, Header{Streams: streams, Flags: flags, Seq: seq, Count: count}, samples)
+		b, err := EncodeFrame(nil, Header{Streams: streams, Flags: flags, Seq: seq, Count: count, ID: id}, samples)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		return b
 	}
-	seeds = append(seeds, mk(1, 1, 0, 0))
-	seeds = append(seeds, mk(2, 50, FlagEndOfBurst, 7))
-	seeds = append(seeds, mk(4, 180, 0, 1<<40))
-	// Session-extended (v3) forms: a sample frame carrying a session ID and
-	// data frames carrying opaque session-layer bytes.
-	mkSession := func(streams, count int, flags uint16, session uint64) []byte {
-		samples := make([][]complex128, streams)
-		for s := range samples {
-			samples[s] = make([]complex128, count)
-		}
-		b, err := EncodeFrame(nil, Header{Streams: streams, Flags: flags, Count: count, SessionID: session}, samples)
+	mkData := func(n int, flags uint16, id uint64) []byte {
+		b, err := EncodeDataFrame(nil, Header{Flags: flags, ID: id}, bytes.Repeat([]byte{0xA5}, n))
 		if err != nil {
 			tb.Fatal(err)
 		}
 		return b
 	}
-	mkData := func(n int, flags uint16, session uint64) []byte {
-		b, err := EncodeDataFrame(nil, Header{Flags: flags, SessionID: session}, bytes.Repeat([]byte{0xA5}, n))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return b
+	return [][]byte{
+		mk(1, 1, 0, 0, 0),
+		mk(2, 50, FlagEndOfBurst, 7, 0),
+		mk(4, 180, 0, 1<<40, 0),
+		mk(2, 30, 0, 3, 12345),
+		mk(4, 16, FlagEndOfBurst, 9, 1<<63),
+		mkData(1, 0, 1),
+		mkData(MaxDataPayload, FlagEndOfBurst, 1<<63),
+		mkData(17, 0, 0xFFFF),
+		mkData(33, 0, 0x0123456789ABCDEF),
 	}
-	seeds = append(seeds, mkSession(2, 30, 0, 12345))
-	seeds = append(seeds, mkData(1, 0, 1))
-	seeds = append(seeds, mkData(MaxDataPayload, FlagEndOfBurst, 1<<63))
-	// Multi-user (v4) forms: precoded downlink samples with a group bitmap
-	// and station-keyed uplink data frames.
-	mkMU := func(streams, count int, station uint16, group uint64) []byte {
-		samples := make([][]complex128, streams)
-		for s := range samples {
-			samples[s] = make([]complex128, count)
-		}
-		b, err := EncodeFrame(nil, Header{Streams: streams, Flags: FlagEndOfBurst, Count: count, StationID: station, GroupBitmap: group}, samples)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return b
-	}
-	mkMUData := func(n int, station uint16) []byte {
-		b, err := EncodeDataFrame(nil, Header{StationID: station}, bytes.Repeat([]byte{0x3C}, n))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return b
-	}
-	seeds = append(seeds, mkMU(2, 40, 0, 0b1010))
-	seeds = append(seeds, mkMU(4, 16, 63, 1<<63))
-	seeds = append(seeds, mkMUData(17, 1))
-	return seeds
 }
 
 // FuzzDecodeHeader: arbitrary bytes must never panic the header parser, and
-// every accepted header must satisfy its documented bounds — including the
-// session-extended v3 form, whose truncated or corrupt session fields must
-// fail as typed errors.
+// every accepted header must satisfy its documented bounds: the whole
+// header was present, and a data frame carries a non-zero ID.
 func FuzzDecodeHeader(f *testing.F) {
 	for _, s := range fuzzSeedFrames(f) {
 		f.Add(s)
@@ -89,21 +58,21 @@ func FuzzDecodeHeader(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if len(data) < h.HeaderLen() {
+			t.Errorf("accepted header longer than input: %d > %d", h.HeaderLen(), len(data))
+		}
 		if h.Streams < 1 || h.Streams > 4 {
 			t.Errorf("accepted stream count %d", h.Streams)
 		}
 		if h.IsData() {
-			if h.SessionID == 0 && h.StationID == 0 {
-				t.Error("accepted data frame with no demux key")
+			if h.ID == 0 {
+				t.Error("accepted data frame with ID 0")
 			}
 			if h.Streams != 1 {
 				t.Errorf("accepted data frame with %d streams", h.Streams)
 			}
 			if h.Count < 1 || h.Count > MaxDataPayload {
 				t.Errorf("accepted data payload %d", h.Count)
-			}
-			if len(data) < h.HeaderLen() {
-				t.Errorf("accepted header longer than input: %d > %d", h.HeaderLen(), len(data))
 			}
 			return
 		}

@@ -396,51 +396,10 @@ func TestUDPSenderLocalAddr(t *testing.T) {
 	}
 }
 
-// encodeV1Frame hand-builds a legacy (version 1, 20-byte header) frame so
-// compatibility stays pinned even though the writer now emits version 2.
-func encodeV1Frame(h Header, samples [][]complex128) []byte {
-	v2, err := EncodeFrame(nil, h, samples)
-	if err != nil {
-		panic(err)
-	}
-	out := append([]byte(nil), v2[:headerSizeV1]...)
-	out[4] = 1
-	return append(out, v2[headerSize:]...)
-}
-
-func TestDecodeHeaderV1Compat(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	burst := randBurst(r, 2, 10)
-	raw := encodeV1Frame(Header{Streams: 2, Flags: FlagEndOfBurst, Seq: 3, Count: 10, PacketID: 77}, burst)
-	h, err := DecodeHeader(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.PacketID != 0 {
-		t.Fatalf("v1 packet id = %d, want 0 (field absent on the wire)", h.PacketID)
-	}
-	if h.HeaderLen() != headerSizeV1 {
-		t.Fatalf("v1 header len = %d, want %d", h.HeaderLen(), headerSizeV1)
-	}
-	dst := make([][]complex128, 2)
-	dst, err = DecodePayload(dst, h, raw[h.HeaderLen():])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !burstsAlmostEqual(dst, burst, 1e-6) {
-		t.Error("v1 payload round trip failed")
-	}
-	// A v2-length claim on a v1-length buffer must error, not read past.
-	raw[4] = frameVersion
-	if _, err := DecodeHeader(raw[:headerSizeV1]); err == nil {
-		t.Error("truncated v2 header should fail")
-	}
-}
-
 func TestPacketIDRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	burst := randBurst(r, 1, 5)
-	enc, err := EncodeFrame(nil, Header{Streams: 1, Flags: FlagEndOfBurst, Seq: 0, Count: 5, PacketID: 1 << 40}, burst)
+	enc, err := EncodeFrame(nil, Header{Streams: 1, Flags: FlagEndOfBurst, Seq: 0, Count: 5, ID: 1 << 40}, burst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +407,7 @@ func TestPacketIDRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.PacketID != 1<<40 || h.HeaderLen() != headerSize {
+	if h.ID != 1<<40 || h.HeaderLen() != headerSize {
 		t.Fatalf("decoded %+v", h)
 	}
 }
@@ -460,8 +419,8 @@ func TestStreamBurstPacketID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A multi-frame burst with an ID, then a plain WriteBurst (ID 0), then a
-	// legacy v1 burst: LastPacketID must track each.
+	// A multi-frame burst with an ID, then a burst with ID 0: LastPacketID
+	// must track each.
 	b1 := randBurst(r, 2, MaxSamplesPerFrame+10)
 	b2 := randBurst(r, 2, 8)
 	if err := w.WriteBurstID(42, b1); err != nil {
@@ -470,7 +429,6 @@ func TestStreamBurstPacketID(t *testing.T) {
 	if err := w.WriteBurstID(0, b2); err != nil {
 		t.Fatal(err)
 	}
-	buf.Write(encodeV1Frame(Header{Streams: 2, Flags: FlagEndOfBurst, Seq: 9, Count: 8}, b2))
 
 	rd := NewStreamReader(&buf)
 	if rd.LastPacketID() != 0 {
@@ -483,15 +441,12 @@ func TestStreamBurstPacketID(t *testing.T) {
 	if !burstsAlmostEqual(got, b1, 1e-6) || rd.LastPacketID() != 42 {
 		t.Fatalf("burst 1 id = %d, want 42", rd.LastPacketID())
 	}
-	if _, err := rd.ReadBurst(); err != nil || rd.LastPacketID() != 0 {
-		t.Fatalf("burst 2 id = %d (err %v), want 0", rd.LastPacketID(), err)
-	}
 	got, err = rd.ReadBurst()
 	if err != nil || rd.LastPacketID() != 0 {
-		t.Fatalf("legacy burst id = %d (err %v), want 0", rd.LastPacketID(), err)
+		t.Fatalf("burst 2 id = %d (err %v), want 0", rd.LastPacketID(), err)
 	}
 	if !burstsAlmostEqual(got, b2, 1e-6) {
-		t.Error("legacy burst payload mismatch")
+		t.Error("burst 2 payload mismatch")
 	}
 }
 

@@ -89,7 +89,7 @@ func (s *UDPSender) WriteBurstID(packetID uint64, samples [][]complex128) error 
 		}
 		s.buf = s.buf[:0]
 		var err error
-		s.buf, err = EncodeFrame(s.buf, Header{Streams: s.streams, Flags: flags, Seq: s.seq, Count: end - off, PacketID: packetID}, chunk)
+		s.buf, err = EncodeFrame(s.buf, Header{Streams: s.streams, Flags: flags, Seq: s.seq, Count: end - off, ID: packetID}, chunk)
 		if err != nil {
 			return err
 		}
@@ -181,7 +181,7 @@ func (r *UDPReceiver) Close() error { return r.conn.Close() }
 func (r *UDPReceiver) Addr() net.Addr { return r.conn.LocalAddr() }
 
 // LastPacketID returns the TX-assigned packet ID of the last burst ReadBurst
-// returned (0 before the first burst or on legacy frames).
+// returned (0 before the first burst or when the sender stamped none).
 func (r *UDPReceiver) LastPacketID() uint64 { return r.lastPacketID }
 
 // ReadBurst assembles one burst. Missing datagrams are zero-filled with the
@@ -236,7 +236,7 @@ func (r *UDPReceiver) ReadBurst(timeout time.Duration) ([][]complex128, error) {
 		r.nextSeq = h.Seq + 1
 		if out == nil {
 			out = make([][]complex128, h.Streams)
-			r.lastPacketID = h.PacketID
+			r.lastPacketID = h.ID
 		}
 		if len(out) != h.Streams {
 			return nil, fmt.Errorf("radio: stream count changed mid-burst")

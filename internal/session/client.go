@@ -230,7 +230,7 @@ func (c *Client) sendMsg(m *Msg) error {
 		return err
 	}
 	c.txSeq++
-	frame, err := radio.EncodeDataFrame(nil, radio.Header{Seq: c.txSeq, SessionID: c.cfg.SessionID}, payload)
+	frame, err := radio.EncodeDataFrame(nil, radio.Header{Seq: c.txSeq, ID: c.cfg.SessionID}, payload)
 	if err != nil {
 		return err
 	}
@@ -263,7 +263,7 @@ func (c *Client) readMsg(deadline time.Time) (*Msg, error) {
 			return nil, err
 		}
 		h, err := radio.DecodeHeader(buf[:n])
-		if err != nil || !h.IsData() || h.SessionID != c.cfg.SessionID {
+		if err != nil || !h.IsData() || h.ID != c.cfg.SessionID {
 			continue
 		}
 		body, err := radio.DecodeDataPayload(h, buf[h.HeaderLen():n])
@@ -274,7 +274,7 @@ func (c *Client) readMsg(deadline time.Time) (*Msg, error) {
 		if err != nil {
 			continue
 		}
-		m.Session = h.SessionID
+		m.Session = h.ID
 		return m, nil
 	}
 }
@@ -391,11 +391,7 @@ transfer:
 		}
 		sendErr := false
 		for _, f := range frames {
-			mpdu, err := f.Encode()
-			if err != nil {
-				return c.fail("encode: " + err.Error())
-			}
-			if err := c.sendMsg(&Msg{Kind: KindData, MPDU: mpdu}); err != nil {
+			if err := c.sendMsg(&Msg{Kind: KindData, Chunk: f.Payload}); err != nil {
 				sendErr = true
 				break
 			}

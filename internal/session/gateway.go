@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/flowgraph"
 	"repro/internal/mac"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -154,12 +153,6 @@ func (g *Gateway) Sessions() []SessionInfo {
 	return out
 }
 
-// datagram is one inbound UDP payload queued between ingress and demux.
-type datagram struct {
-	data []byte
-	addr *net.UDPAddr
-}
-
 // inEnv is one decoded message delivered to a session worker.
 type inEnv struct {
 	msg  *Msg
@@ -173,23 +166,20 @@ const maxTombstones = 4096
 
 // Gateway is the long-running link service: one UDP socket serving many
 // concurrent reliable sessions, each an isolated worker goroutine around a
-// session Machine, with ingress and demultiplexing running as supervised
-// flowgraph blocks. Construct with NewGateway, drive with Run.
+// session Machine, with ingress and demultiplexing running on the supervised
+// radio.DatagramService. Construct with NewGateway, drive with Run.
 type Gateway struct {
-	cfg  Config
-	clk  clock.Clock
-	log  *slog.Logger
-	rec  *flight.Recorder
-	hub  *stream.Hub
-	conn *net.UDPConn
-
-	inbox chan datagram
+	cfg Config
+	clk clock.Clock
+	log *slog.Logger
+	rec *flight.Recorder
+	hub *stream.Hub
+	svc *radio.DatagramService
 
 	mu        sync.Mutex
 	sessions  map[uint64]*gwSession
 	tombs     map[uint64]bool // id → completed
 	tombOrder []uint64
-	closed    bool
 	runCtx    context.Context
 
 	wg sync.WaitGroup
@@ -213,26 +203,26 @@ type Gateway struct {
 // NewGateway binds the listen socket. Run must be called to serve.
 func NewGateway(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
-	ua, err := net.ResolveUDPAddr("udp", cfg.Listen)
-	if err != nil {
-		return nil, fmt.Errorf("session: resolve %q: %w", cfg.Listen, err)
-	}
-	conn, err := net.ListenUDP("udp", ua)
-	if err != nil {
-		return nil, fmt.Errorf("session: listen %q: %w", cfg.Listen, err)
-	}
 	g := &Gateway{
 		cfg:         cfg,
 		clk:         cfg.Clock,
 		log:         cfg.Logger,
 		rec:         cfg.Recorder,
 		hub:         cfg.Events,
-		conn:        conn,
-		inbox:       make(chan datagram, 4*cfg.MailboxDepth),
 		sessions:    make(map[uint64]*gwSession),
 		tombs:       make(map[uint64]bool),
 		failReasons: make(map[string]int64),
 	}
+	svc, err := radio.NewDatagramService(radio.ServiceConfig{
+		Listen: cfg.Listen, Ingress: "gw-ingress", Handler: "gw-demux",
+		Handle: g.route, Corrupt: g.corrupt, Intercept: cfg.Intercept,
+		Clock: cfg.Clock, Logger: cfg.Logger, Registry: cfg.Registry,
+		OnRestart: cfg.Events.PublishRestart,
+	})
+	if err != nil {
+		return nil, err
+	}
+	g.svc = svc
 	if reg := cfg.Registry; reg != nil {
 		g.cOpened = reg.Counter("mimonet_gw_sessions_opened_total", "sessions accepted (HELLO or fresh RESUME)")
 		g.cCompleted = reg.Counter("mimonet_gw_sessions_completed_total", "sessions that verified their transfer and drained")
@@ -251,7 +241,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 }
 
 // Addr returns the bound UDP address (useful with port 0).
-func (g *Gateway) Addr() net.Addr { return g.conn.LocalAddr() }
+func (g *Gateway) Addr() net.Addr { return g.svc.Addr() }
 
 // Stats snapshots the gateway's session accounting.
 func (g *Gateway) Stats() Stats {
@@ -281,62 +271,17 @@ func (g *Gateway) Stats() Stats {
 // Run serves until ctx is cancelled, then shuts down: the socket closes,
 // every live session fails closed with reason "shutdown", and Run returns
 // only after all session workers and graph pumps have exited — the no-leak
-// guarantee the soak harness asserts.
+// guarantee the soak harness asserts. A service block that exhausts its
+// restart budget shuts the gateway down the same way, and Run returns its
+// BlockError.
 func (g *Gateway) Run(ctx context.Context) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	g.mu.Lock()
 	g.runCtx = runCtx
 	g.mu.Unlock()
-	// Closing the socket is what unblocks a ReadFromUDP parked in ingress.
-	stopped := make(chan struct{})
-	go func() {
-		<-runCtx.Done()
-		g.mu.Lock()
-		g.closed = true
-		g.mu.Unlock()
-		g.conn.Close()
-		close(stopped)
-	}()
-
-	graph := flowgraph.New()
-	ing := &ingressBlock{g: g}
-	dmx := &demuxBlock{g: g}
-	if err := graph.Add(ing); err != nil {
-		return err
-	}
-	if err := graph.Add(dmx); err != nil {
-		return err
-	}
-	if err := graph.Connect(ing, 0, dmx, 0); err != nil {
-		return err
-	}
-	// Supervised pumps: panics contained, restart with backoff. No
-	// StallTimeout — an idle gateway (no inbound traffic, downstream
-	// capacity free) is indistinguishable from the watchdog's source-stall
-	// predicate and must not be declared dead.
-	if err := graph.SetPolicy(flowgraph.Policy{
-		MaxRestarts: 4,
-		TrackHealth: true,
-		Metrics:     g.cfg.Registry,
-		Logger:      g.log,
-		Clock:       g.clk,
-		OnRestart: func(block string, attempt int, err error) {
-			reason := ""
-			if err != nil {
-				reason = err.Error()
-			}
-			g.hub.Publish(stream.Event{
-				Type:  stream.EventSupervisorRestart,
-				Block: block, Attempt: attempt, Reason: reason,
-			})
-		},
-	}); err != nil {
-		return err
-	}
-	err := graph.Run(runCtx)
+	err := g.svc.Run(runCtx)
 	cancel()
-	<-stopped
 	g.wg.Wait()
 	if ctx.Err() != nil {
 		// Cancellation is the normal way to stop a gateway.
@@ -345,24 +290,18 @@ func (g *Gateway) Run(ctx context.Context) error {
 	return err
 }
 
-// send encodes one session message into a radio data frame and transmits it
-// to addr, through the fault-injection intercept when configured.
+// send encodes one session message and transmits it to addr as a data frame
+// keyed by the session ID.
 func (g *Gateway) send(id uint64, seq uint64, m *Msg, addr *net.UDPAddr) {
-	payload, err := AppendMessage(nil, m)
-	if err != nil {
-		return
+	if payload, err := AppendMessage(nil, m); err == nil {
+		g.svc.Send(addr, id, seq, payload)
 	}
-	frame, err := radio.EncodeDataFrame(nil, radio.Header{Seq: seq, SessionID: id}, payload)
-	if err != nil {
-		return
-	}
-	if g.cfg.Intercept != nil {
-		for _, d := range g.cfg.Intercept(frame) {
-			g.conn.WriteToUDP(d, addr) //nolint:errcheck // lossy link: errors equal loss
-		}
-		return
-	}
-	g.conn.WriteToUDP(frame, addr) //nolint:errcheck // lossy link: errors equal loss
+}
+
+// corrupt counts one inbound datagram rejected for its framing or FCS.
+func (g *Gateway) corrupt() {
+	g.corruptDgrams.Add(1)
+	g.cCorrupt.Inc()
 }
 
 // reset answers a datagram that cannot be routed.
@@ -372,39 +311,26 @@ func (g *Gateway) reset(id uint64, reason string, addr *net.UDPAddr) {
 	g.send(id, 0, &Msg{Kind: KindReset, Reason: reason}, addr)
 }
 
-// route delivers one decoded inbound datagram: to its live session's
-// mailbox, to a fresh session for an acceptable HELLO/RESUME, or answered
-// directly from a tombstone.
-func (g *Gateway) route(d datagram) {
-	h, err := radio.DecodeHeader(d.data)
-	if err != nil || !h.IsData() {
-		g.corruptDgrams.Add(1)
-		g.cCorrupt.Inc()
-		return
-	}
-	body, err := radio.DecodeDataPayload(h, d.data[h.HeaderLen():])
-	if err != nil {
-		g.corruptDgrams.Add(1)
-		g.cCorrupt.Inc()
-		return
-	}
+// route delivers one inbound data frame: to its live session's mailbox, to
+// a fresh session for an acceptable HELLO/RESUME, or answered directly from
+// a tombstone.
+func (g *Gateway) route(h radio.Header, body []byte, addr *net.UDPAddr) {
 	m, err := DecodeMessage(body)
 	if err != nil {
-		g.corruptDgrams.Add(1)
-		g.cCorrupt.Inc()
+		g.corrupt()
 		return
 	}
-	m.Session = h.SessionID
+	m.Session = h.ID
 
 	g.mu.Lock()
-	if g.closed {
+	if g.runCtx.Err() != nil {
 		g.mu.Unlock()
 		return
 	}
 	if s := g.sessions[m.Session]; s != nil {
 		g.mu.Unlock()
 		select {
-		case s.mbox <- inEnv{msg: m, addr: d.addr}:
+		case s.mbox <- inEnv{msg: m, addr: addr}:
 		default:
 			// A full mailbox means the worker is saturated; dropping here
 			// is the same loss the UDP link already imposes, and the
@@ -419,28 +345,28 @@ func (g *Gateway) route(d datagram) {
 		g.mu.Unlock()
 		if done && (m.Kind == KindFin || m.Kind == KindResume) {
 			// The transfer completed; the peer just never saw the ack.
-			g.send(m.Session, 0, &Msg{Kind: KindFinAck}, d.addr)
+			g.send(m.Session, 0, &Msg{Kind: KindFinAck}, addr)
 			return
 		}
-		g.reset(m.Session, "evicted", d.addr)
+		g.reset(m.Session, "evicted", addr)
 		return
 	}
 	switch m.Kind {
 	case KindHello, KindResume:
 		if len(g.sessions) >= g.cfg.MaxSessions {
 			g.mu.Unlock()
-			g.reset(m.Session, "busy", d.addr)
+			g.reset(m.Session, "busy", addr)
 			return
 		}
 		s := g.newSessionLocked(m.Session)
 		g.mu.Unlock()
-		s.mbox <- inEnv{msg: m, addr: d.addr}
+		s.mbox <- inEnv{msg: m, addr: addr}
 	case KindReset:
 		// A reset for a session we do not hold needs no answer.
 		g.mu.Unlock()
 	default:
 		g.mu.Unlock()
-		g.reset(m.Session, "unknown-session", d.addr)
+		g.reset(m.Session, "unknown-session", addr)
 	}
 }
 
@@ -467,7 +393,7 @@ func (g *Gateway) newSessionLocked(id uint64) *gwSession {
 func (g *Gateway) finish(s *gwSession) {
 	g.mu.Lock()
 	delete(g.sessions, s.id)
-	if !g.closed {
+	if g.runCtx.Err() == nil {
 		// No tombstones during shutdown: everything is going away anyway.
 		if len(g.tombOrder) >= maxTombstones {
 			old := g.tombOrder[0]
@@ -520,81 +446,6 @@ func (g *Gateway) finish(s *gwSession) {
 		if err == nil && file != "" {
 			g.hub.Publish(stream.Event{Type: stream.EventFlightDump,
 				Session: s.id, Reason: dumpReason, File: file})
-		}
-	}
-}
-
-// ingressBlock reads UDP datagrams onto the gateway inbox and emits one
-// token chunk per datagram so the supervised edge carries the flow (and its
-// health counters measure it). Payload bytes stay off the sample channel —
-// chunks are []complex128 — hence the side queue.
-type ingressBlock struct {
-	g *Gateway
-}
-
-func (b *ingressBlock) Name() string      { return "gw-ingress" }
-func (b *ingressBlock) Inputs() int       { return 0 }
-func (b *ingressBlock) Outputs() int      { return 1 }
-func (b *ingressBlock) Restartable() bool { return true }
-
-func (b *ingressBlock) Run(ctx context.Context, _ []<-chan flowgraph.Chunk, out []chan<- flowgraph.Chunk) error {
-	g := b.g
-	buf := make([]byte, 64*1024)
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		n, addr, err := g.conn.ReadFromUDP(buf)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			g.mu.Lock()
-			closed := g.closed
-			g.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return fmt.Errorf("gw-ingress: %w", err)
-		}
-		d := datagram{data: append([]byte(nil), buf[:n]...), addr: addr} //mimonet:alloc-ok datagram escapes to the demux
-		select {
-		case g.inbox <- d:
-		default:
-			// Inbox full: shed inbound load instead of stalling the read
-			// loop — UDP loss semantics, and the client ARQ retransmits.
-			g.droppedDgrams.Add(1)
-			g.cDropped.Inc()
-			continue
-		}
-		if !flowgraph.Send(ctx, out[0], nil) {
-			return nil
-		}
-	}
-}
-
-// demuxBlock drains the inbox in step with the token stream and routes each
-// datagram to its session worker.
-type demuxBlock struct {
-	g *Gateway
-}
-
-func (b *demuxBlock) Name() string      { return "gw-demux" }
-func (b *demuxBlock) Inputs() int       { return 1 }
-func (b *demuxBlock) Outputs() int      { return 0 }
-func (b *demuxBlock) Restartable() bool { return true }
-
-func (b *demuxBlock) Run(ctx context.Context, in []<-chan flowgraph.Chunk, _ []chan<- flowgraph.Chunk) error {
-	for {
-		if _, ok := flowgraph.Recv(ctx, in[0]); !ok {
-			return nil
-		}
-		select {
-		case d := <-b.g.inbox:
-			b.g.route(d)
-		default:
-			// Token without a datagram: a prior demux incarnation consumed
-			// it before restarting. Nothing to do.
 		}
 	}
 }
@@ -786,17 +637,12 @@ func (s *gwSession) open(m *Msg, ackKind Kind) {
 	}
 }
 
-// data ingests one chunk: FCS-verified, deduplicated, windowed, then the
-// contiguous prefix advances into the sink and one ACK reports the new
-// cumulative offset, the reassembly bitmap, and the refreshed credit.
+// data ingests one chunk, whose message FCS DecodeMessage has checked:
+// deduplicated, windowed, then the contiguous prefix advances into the sink
+// and one ACK reports the new cumulative offset, the reassembly bitmap, and
+// the refreshed credit.
 func (s *gwSession) data(m *Msg) {
-	_, offset, payload, err := DecodeChunk(m.MPDU)
-	if err != nil {
-		// Mangled in flight; the ARQ will re-send it. Don't ack.
-		s.g.corruptDgrams.Add(1)
-		s.g.cCorrupt.Inc()
-		return
-	}
+	offset, payload := splitChunk(m.Chunk)
 	end := offset + uint64(len(payload))
 	switch {
 	case end <= s.cum:
@@ -815,7 +661,8 @@ func (s *gwSession) data(m *Msg) {
 			return
 		}
 		if _, dup := s.buffered[idx]; !dup {
-			s.buffered[idx] = append([]byte(nil), payload...)
+			// The chunk aliases this datagram's private copy; keep it.
+			s.buffered[idx] = payload
 		}
 		// Advance the contiguous prefix into the sink.
 		for {

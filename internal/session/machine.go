@@ -12,11 +12,11 @@
 //     property-tested in isolation (any event interleaving terminates in
 //     StateClosed and never panics).
 //   - Gateway serves many concurrent sessions over one UDP socket, its
-//     ingress/demux pumps supervised by internal/flowgraph.
+//     ingress/demux pumps run by the supervised radio.DatagramService.
 //   - Client drives one transfer to completion, reconnecting through
 //     capped-exponential-backoff-plus-jitter when the link dies under it.
 //
-// Wire messages ride version-3 radio data frames (internal/radio), so the
+// Wire messages ride radio data frames keyed by session ID, so the
 // datagram fault injector of internal/faults applies unchanged at the
 // session layer's transport seam.
 package session

@@ -216,7 +216,7 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 		if err != nil {
 			return [][]byte{d}
 		}
-		if inj, ok := gwInjectors.Load(h.SessionID); ok {
+		if inj, ok := gwInjectors.Load(h.ID); ok {
 			return inj.(*faults.Injector).MangleDatagram(d)
 		}
 		return [][]byte{d}

@@ -9,20 +9,19 @@ import (
 	"repro/internal/radio"
 )
 
-// Wire format. Every session message is one radio version-3 data frame
-// whose payload is
+// Wire format. Every session message is one radio data frame whose header
+// ID is the session ID, the demultiplexing key, and whose payload is
 //
 //	kind(1) body(…) fcs(4)
 //
 // with the CRC-32 FCS covering kind+body, so a corrupted datagram that
-// slips past the radio header checks is still rejected with a typed error
-// — control messages get the same integrity guarantee the mac framing
-// gives data chunks. The session ID travels in the radio header, the
-// demultiplexing key; bodies are fixed-layout big-endian.
+// slips past the radio header checks is still rejected with a typed error.
+// Bodies are fixed-layout big-endian.
 //
-// Data chunks are mac-framed MPDUs (sequence number + CRC-32 FCS) whose
-// payload is offset(8)‖bytes: the 12-bit mac sequence feeds the ARQ Block
-// Ack window while the 64-bit offset anchors reconnect-with-resume.
+// A DATA body is offset(8)‖bytes, at least one byte: the 64-bit offset
+// anchors reconnect-with-resume and, divided by the chunk size, indexes the
+// gateway's reassembly window and its acks. The message FCS is the chunk's
+// one checksum; the client's ARQ sequence numbers never leave the client.
 
 // ProtocolVersion is the session-layer handshake version.
 const ProtocolVersion = 1
@@ -35,7 +34,7 @@ const (
 	KindHello Kind = iota + 1
 	// KindHelloAck accepts it, granting chunk size and credit.
 	KindHelloAck
-	// KindData carries one mac-framed payload chunk.
+	// KindData carries one payload chunk at its offset.
 	KindData
 	// KindAck acknowledges chunks: ARQ Block Ack bitmap + cumulative
 	// offset + credit grant.
@@ -78,9 +77,9 @@ func (k Kind) String() string {
 }
 
 // Chunk sizing: a DATA message must fit one radio data frame —
-// kind(1) + mac overhead (28) + offset(8) + chunk + message FCS (4).
+// kind(1) + offset(8) + chunk + message FCS (4).
 const (
-	chunkOverhead = 1 + 28 + 8 + 4
+	chunkOverhead = 1 + 8 + 4
 	// MaxChunkBytes bounds one chunk's payload bytes.
 	MaxChunkBytes = radio.MaxDataPayload - chunkOverhead
 	// DefaultChunkBytes is the negotiation default.
@@ -109,8 +108,9 @@ type Msg struct {
 	// CumOffset is the receiver's contiguous byte high-water mark
 	// (Ack, ResumeAck).
 	CumOffset uint64
-	// MPDU is the mac-framed chunk (Data). Aliases the decode buffer.
-	MPDU []byte
+	// Chunk is the DATA body, offset(8)‖bytes (Data). Aliases the decode
+	// buffer.
+	Chunk []byte
 	// Reason documents a Reset.
 	Reason string
 }
@@ -141,10 +141,10 @@ func AppendMessage(dst []byte, m *Msg) ([]byte, error) {
 		u32(m.ChunkSize)
 		u16(m.Credit)
 	case KindData:
-		if len(m.MPDU) == 0 {
-			return nil, fmt.Errorf("session: data message without an MPDU")
+		if len(m.Chunk) <= 8 {
+			return nil, fmt.Errorf("session: data chunk %d bytes, need ≥ 9", len(m.Chunk))
 		}
-		dst = append(dst, m.MPDU...)
+		dst = append(dst, m.Chunk...)
 	case KindAck:
 		u16(m.Ack.Start)
 		u64(m.Ack.Bitmap)
@@ -174,7 +174,7 @@ func AppendMessage(dst []byte, m *Msg) ([]byte, error) {
 }
 
 // DecodeMessage parses one session message payload (the bytes of a radio
-// data frame). The returned Msg's MPDU aliases b. Corrupt or truncated
+// data frame). The returned Msg's Chunk aliases b. Corrupt or truncated
 // input yields typed errors, never panics.
 func DecodeMessage(b []byte) (*Msg, error) {
 	body, ok := bitutil.CheckFCS(b)
@@ -209,10 +209,10 @@ func DecodeMessage(b []byte) (*Msg, error) {
 		m.ChunkSize = binary.BigEndian.Uint32(body[0:])
 		m.Credit = binary.BigEndian.Uint16(body[4:])
 	case KindData:
-		if len(body) == 0 {
-			return nil, fmt.Errorf("session: data message without an MPDU")
+		if len(body) <= 8 {
+			return nil, fmt.Errorf("session: data chunk %d bytes, need ≥ 9", len(body))
 		}
-		m.MPDU = body
+		m.Chunk = body
 	case KindAck:
 		if err := need(20); err != nil {
 			return nil, err
@@ -239,7 +239,7 @@ func DecodeMessage(b []byte) (*Msg, error) {
 			return nil, err
 		}
 		n := int(body[0])
-		if len(body) < 1+n {
+		if n > maxResetReason || len(body) < 1+n {
 			return nil, fmt.Errorf("session: reset reason %d bytes, have %d", n, len(body)-1)
 		}
 		m.Reason = string(body[1 : 1+n])
@@ -249,9 +249,9 @@ func DecodeMessage(b []byte) (*Msg, error) {
 	return m, nil
 }
 
-// chunkPayload lays one chunk out as the MPDU payload DecodeChunk reads: the
-// 64-bit offset that anchors resume, then the bytes. The client queues it
-// into its ARQ window, whose 12-bit sequence frames it for the Block Ack.
+// chunkPayload lays one chunk out as the DATA body: the 64-bit offset that
+// anchors resume, then the bytes. The client queues it into its ARQ window
+// and sends it as it stands.
 func chunkPayload(offset uint64, data []byte) []byte {
 	payload := make([]byte, 8+len(data))
 	binary.BigEndian.PutUint64(payload, offset)
@@ -259,15 +259,7 @@ func chunkPayload(offset uint64, data []byte) []byte {
 	return payload
 }
 
-// DecodeChunk verifies and unpacks a mac-framed chunk. The returned data is
-// an independent copy (mac.Decode copies the payload).
-func DecodeChunk(mpdu []byte) (seq uint16, offset uint64, data []byte, err error) {
-	f, err := mac.Decode(mpdu)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if len(f.Payload) < 9 {
-		return 0, 0, nil, fmt.Errorf("session: chunk payload %d bytes, need ≥ 9", len(f.Payload))
-	}
-	return f.Seq, binary.BigEndian.Uint64(f.Payload), f.Payload[8:], nil
+// splitChunk reverses chunkPayload on a body DecodeMessage accepted.
+func splitChunk(body []byte) (offset uint64, data []byte) {
+	return binary.BigEndian.Uint64(body), body[8:]
 }

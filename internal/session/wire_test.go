@@ -2,36 +2,29 @@ package session
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
+	"repro/internal/bitutil"
 	"repro/internal/mac"
+	"repro/internal/radio"
 )
 
-// encodeChunk frames a chunk the way the client's ARQ window does.
-func encodeChunk(t *testing.T, seq uint16, offset uint64, data []byte) []byte {
-	t.Helper()
-	f := mac.Frame{Seq: seq, Payload: chunkPayload(offset, data)}
-	mpdu, err := f.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mpdu
+// sampleMessages holds one message of every kind.
+var sampleMessages = []Msg{
+	{Kind: KindHello, Total: 1 << 20, ChunkSize: 1024},
+	{Kind: KindHelloAck, ChunkSize: 1024, Credit: 32},
+	{Kind: KindData, Chunk: chunkPayload(4096, []byte("payload bytes"))},
+	{Kind: KindAck, Ack: mac.BlockAck{Start: 17, Bitmap: 0xDEADBEEF}, CumOffset: 99 * 1024, Credit: 12},
+	{Kind: KindResume, Total: 1 << 20, ChunkSize: 1024},
+	{Kind: KindResumeAck, ChunkSize: 1024, Credit: 32, CumOffset: 512 * 1024},
+	{Kind: KindFin, Total: 1 << 20},
+	{Kind: KindFinAck},
+	{Kind: KindReset, Reason: "busy"},
 }
 
 func TestMessageRoundTrip(t *testing.T) {
-	mpdu := encodeChunk(t, 7, 4096, []byte("payload bytes"))
-	cases := []Msg{
-		{Kind: KindHello, Total: 1 << 20, ChunkSize: 1024},
-		{Kind: KindHelloAck, ChunkSize: 1024, Credit: 32},
-		{Kind: KindData, MPDU: mpdu},
-		{Kind: KindAck, Ack: mac.BlockAck{Start: 17, Bitmap: 0xDEADBEEF}, CumOffset: 99 * 1024, Credit: 12},
-		{Kind: KindResume, Total: 1 << 20, ChunkSize: 1024},
-		{Kind: KindResumeAck, ChunkSize: 1024, Credit: 32, CumOffset: 512 * 1024},
-		{Kind: KindFin, Total: 1 << 20},
-		{Kind: KindFinAck},
-		{Kind: KindReset, Reason: "busy"},
-	}
-	for _, want := range cases {
+	for _, want := range sampleMessages {
 		t.Run(want.Kind.String(), func(t *testing.T) {
 			wire, err := AppendMessage(nil, &want)
 			if err != nil {
@@ -44,7 +37,7 @@ func TestMessageRoundTrip(t *testing.T) {
 			if got.Kind != want.Kind || got.Total != want.Total ||
 				got.ChunkSize != want.ChunkSize || got.Credit != want.Credit ||
 				got.Ack != want.Ack || got.CumOffset != want.CumOffset ||
-				got.Reason != want.Reason || !bytes.Equal(got.MPDU, want.MPDU) {
+				got.Reason != want.Reason || !bytes.Equal(got.Chunk, want.Chunk) {
 				t.Fatalf("round trip mismatch: got %+v want %+v", got, want)
 			}
 		})
@@ -76,21 +69,38 @@ func TestMessageRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestChunkRoundTrip: a chunk travels as offset‖bytes inside one DATA
+// message, checked by the message FCS alone; a body too short to hold an
+// offset and one byte is rejected on both sides.
 func TestChunkRoundTrip(t *testing.T) {
-	data := bytes.Repeat([]byte{0x5A}, 1024)
-	mpdu := encodeChunk(t, 0x0FFF, 7*1024, data)
-	seq, off, got, err := DecodeChunk(mpdu)
+	data := bytes.Repeat([]byte{0x5A}, MaxChunkBytes)
+	wire, err := AppendMessage(nil, &Msg{Kind: KindData, Chunk: chunkPayload(7*1024, data)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 0x0FFF || off != 7*1024 || !bytes.Equal(got, data) {
-		t.Fatalf("chunk round trip: seq %d off %d len %d", seq, off, len(got))
+	if len(wire) != chunkOverhead+len(data) {
+		t.Fatalf("DATA message %d bytes, want %d", len(wire), chunkOverhead+len(data))
 	}
-	if _, _, _, err := DecodeChunk(encodeChunk(t, 0, 0, nil)); err == nil {
+	if _, err := radio.EncodeDataFrame(nil, radio.Header{ID: 1}, wire); err != nil {
+		t.Fatalf("largest chunk does not fit one data frame: %v", err)
+	}
+	m, err := DecodeMessage(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, got := splitChunk(m.Chunk)
+	if off != 7*1024 || !bytes.Equal(got, data) {
+		t.Fatalf("chunk round trip: off %d len %d", off, len(got))
+	}
+	if _, err := AppendMessage(nil, &Msg{Kind: KindData, Chunk: chunkPayload(0, nil)}); err == nil {
+		t.Fatal("empty chunk encoded")
+	}
+	short := bitutil.AppendFCS(append([]byte{byte(KindData)}, chunkPayload(0, nil)...))
+	if _, err := DecodeMessage(short); err == nil {
 		t.Fatal("empty chunk accepted")
 	}
-	if _, _, _, err := DecodeChunk(mpdu[:len(mpdu)-1]); err == nil {
-		t.Fatal("truncated MPDU accepted")
+	if _, err := DecodeMessage(wire[:len(wire)-1]); err == nil {
+		t.Fatal("truncated DATA accepted")
 	}
 }
 
@@ -98,4 +108,34 @@ func TestUnknownKindRejected(t *testing.T) {
 	if _, err := AppendMessage(nil, &Msg{Kind: Kind(200)}); err == nil {
 		t.Fatal("unknown kind encoded")
 	}
+}
+
+// FuzzDecodeMessage: arbitrary bytes never panic the session decoder, an
+// accepted DATA carries an offset and at least one byte, and every accepted
+// message re-encodes to bytes that decode to an equal message.
+func FuzzDecodeMessage(f *testing.F) {
+	for i := range sampleMessages {
+		wire, err := AppendMessage(nil, &sampleMessages[i])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := DecodeMessage(b)
+		if err != nil {
+			return
+		}
+		if m.Kind == KindData && len(m.Chunk) < 9 {
+			t.Fatalf("accepted a %d-byte chunk", len(m.Chunk))
+		}
+		wire, err := AppendMessage(nil, m)
+		if err != nil {
+			t.Fatalf("accepted %v message does not re-encode: %v", m.Kind, err)
+		}
+		again, err := DecodeMessage(wire)
+		if err != nil || !reflect.DeepEqual(again, m) {
+			t.Fatalf("re-encoded message decodes to %+v (err %v), want %+v", again, err, m)
+		}
+	})
 }

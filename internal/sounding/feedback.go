@@ -2,6 +2,7 @@ package sounding
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -28,6 +29,11 @@ import (
 const feedbackVersion = 1
 
 const feedbackHeaderLen = 6
+
+// ErrNonFiniteScale rejects a report whose per-tone scale is NaN or
+// infinite: its matrices would carry NaN entries into the CSI cache, and
+// from there into capacity and grouping decisions.
+var ErrNonFiniteScale = errors.New("sounding: feedback scale is not finite")
 
 // FeedbackBytes returns the encoded size of a quantized report for the
 // given channel shape and grouping factor.
@@ -133,6 +139,9 @@ func Dequantize(b []byte) ([]*cmatrix.Matrix, error) {
 	off := feedbackHeaderLen
 	for t := 0; t < kept; t++ {
 		scale := float64(math.Float32frombits(binary.BigEndian.Uint32(b[off:])))
+		if math.IsNaN(scale) || math.IsInf(scale, 0) {
+			return nil, fmt.Errorf("%w: tone %d scale %v", ErrNonFiniteScale, t*group, scale)
+		}
 		off += 4
 		m := cmatrix.New(rows, cols)
 		if scale > 0 {

@@ -1,7 +1,10 @@
 package sounding
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -232,4 +235,59 @@ func TestFeedbackDecodeErrors(t *testing.T) {
 	if _, err := Quantize(ragged, 1); err == nil {
 		t.Error("ragged shapes should fail")
 	}
+}
+
+// TestFeedbackRejectsNonFiniteScale: a station's report with a NaN or
+// infinite tone scale is refused, rather than dequantized into NaN entries.
+func TestFeedbackRejectsNonFiniteScale(t *testing.T) {
+	b, err := Quantize(randomChannel(rand.New(rand.NewSource(4)), 4, 2, 4), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := feedbackHeaderLen + 4 + 2*2*4 // the second kept tone's scale
+	for _, v := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {
+		for _, off := range []int{feedbackHeaderLen, second} {
+			bad := append([]byte(nil), b...)
+			binary.BigEndian.PutUint32(bad[off:], math.Float32bits(v))
+			if _, err := Dequantize(bad); !errors.Is(err, ErrNonFiniteScale) {
+				t.Errorf("scale %v at byte %d: err = %v, want ErrNonFiniteScale", v, off, err)
+			}
+		}
+	}
+}
+
+// FuzzDequantize: arbitrary bytes never panic the feedback decoder, and an
+// accepted report holds exactly nsc matrices of the stated shape, every
+// entry finite.
+func FuzzDequantize(f *testing.F) {
+	r := rand.New(rand.NewSource(5))
+	for _, c := range []struct{ nsc, rows, cols, group int }{{4, 2, 4, 1}, {8, 1, 1, 2}, {56, 4, 4, 4}} {
+		h := randomChannel(r, c.nsc, c.rows, c.cols)
+		h[0] = nil // a dead tone
+		b, err := Quantize(h, c.group)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		out, err := Dequantize(b)
+		if err != nil {
+			return
+		}
+		rows, cols, nsc := int(b[1]), int(b[2]), int(binary.BigEndian.Uint16(b[4:]))
+		if len(out) != nsc {
+			t.Fatalf("%d matrices, header says %d", len(out), nsc)
+		}
+		for k, m := range out {
+			if m == nil || m.Rows != rows || m.Cols != cols {
+				t.Fatalf("tone %d: matrix %v, want %dx%d", k, m, rows, cols)
+			}
+			for _, v := range m.Data {
+				if cmplx.IsNaN(v) || cmplx.IsInf(v) {
+					t.Fatalf("tone %d: non-finite entry %v", k, v)
+				}
+			}
+		}
+	})
 }
