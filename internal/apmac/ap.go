@@ -85,6 +85,7 @@ type APConfig struct {
 	// telemetry stream. Nil publishes nothing (the hub is nil-safe).
 	Events *stream.Hub
 	// Clock injects time; nil is the system clock.
+	//mimonet:testonly-ok clock seam for a fake clock; no caller, test or production, injects one yet
 	Clock clock.Clock
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/cmatrix"
 	"repro/internal/montecarlo"
 	"repro/internal/mumimo"
-	"repro/internal/obs"
 	"repro/internal/sounding"
 )
 
@@ -37,10 +36,30 @@ import (
 // slotDur is the simulated slot duration; CSI ages on this clock.
 const slotDur = time.Millisecond
 
-// soakTones is the per-report subcarrier count stations quantize. The link
-// model is frequency-flat, so a handful of tones exercises the grouping
-// path without bloating feedback.
+// soakTones is the per-report subcarrier count stations quantize, in the
+// soak and on the live link. The link model is frequency-flat, so a handful
+// of tones exercises the grouping path without bloating feedback.
 const soakTones = 4
+
+// E25 traffic and channel constants.
+const (
+	// soundInterval is the sounding cadence in slots; cached CSI expires
+	// after four intervals.
+	soundInterval = 20
+	// coherenceSlots is the fading redraw interval for fading scenarios.
+	coherenceSlots = 100
+	// churnInterval: in churn scenarios, every this-many slots one station
+	// tears down and later re-contends.
+	churnInterval = 150
+	// arrivalProb is the per-slot, per-station MPDU arrival probability.
+	arrivalProb = 0.9
+	// soakMPDUBytes is the payload per MPDU.
+	soakMPDUBytes = 500
+)
+
+// stationNRX is station i's antenna count: stations alternate between one
+// and two antennas.
+func stationNRX(i int) int { return 1 + i%2 }
 
 // SoakConfig sizes an E25 run. The zero value is invalid; use
 // DefaultSoakConfig.
@@ -56,26 +75,11 @@ type SoakConfig struct {
 	Slots int
 	// SNRdB is the per-station average link SNR.
 	SNRdB float64
-	// SoundInterval is the sounding cadence in slots; cached CSI expires
-	// after four intervals.
-	SoundInterval int
-	// CoherenceSlots is the fading redraw interval for fading scenarios.
-	CoherenceSlots int
-	// ChurnInterval: in churn scenarios, every this-many slots one station
-	// tears down and later re-contends.
-	ChurnInterval int
-	// ArrivalProb is the per-slot, per-station MPDU arrival probability.
-	ArrivalProb float64
-	// MPDUBytes is the payload per MPDU.
-	MPDUBytes int
 	// Seed drives all randomness via montecarlo.ShardSeed.
 	Seed int64
 	// Workers bounds the cell worker pool (montecarlo semantics: ≤0 is
 	// GOMAXPROCS, 1 serial). Results are identical at any value.
 	Workers int
-	// Registry, when non-nil, receives the per-station gauges of every
-	// cell's association table.
-	Registry *obs.Registry
 }
 
 // DefaultSoakConfig is the tracked-artifact configuration: 120 stations
@@ -87,11 +91,6 @@ func DefaultSoakConfig() SoakConfig {
 		NTX:             4,
 		Slots:           1500,
 		SNRdB:           25,
-		SoundInterval:   20,
-		CoherenceSlots:  100,
-		ChurnInterval:   150,
-		ArrivalProb:     0.9,
-		MPDUBytes:       500,
 		Seed:            1,
 	}
 }
@@ -112,21 +111,6 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	}
 	if c.SNRdB == 0 {
 		c.SNRdB = d.SNRdB
-	}
-	if c.SoundInterval <= 0 {
-		c.SoundInterval = d.SoundInterval
-	}
-	if c.CoherenceSlots <= 0 {
-		c.CoherenceSlots = d.CoherenceSlots
-	}
-	if c.ChurnInterval <= 0 {
-		c.ChurnInterval = d.ChurnInterval
-	}
-	if c.ArrivalProb <= 0 {
-		c.ArrivalProb = d.ArrivalProb
-	}
-	if c.MPDUBytes <= 0 {
-		c.MPDUBytes = d.MPDUBytes
 	}
 	if c.Seed == 0 {
 		c.Seed = d.Seed
@@ -283,14 +267,11 @@ func runCell(cfg SoakConfig, cell int) (*cellResult, error) {
 	churn := scenario == "churn" || scenario == "fading+churn"
 	cellSeed := montecarlo.ShardSeed(cfg.Seed, cell)
 	snr := math.Pow(10, cfg.SNRdB/10)
-	mpduBits := int64(cfg.MPDUBytes) * 8
+	mpduBits := int64(soakMPDUBytes) * 8
 
 	clk := clock.NewFake(time.Unix(0, 0))
 	table := NewTable(clk)
-	if cfg.Registry != nil {
-		table.Instrument(cfg.Registry)
-	}
-	cache := mumimo.NewCache(clk, time.Duration(4*cfg.SoundInterval)*slotDur)
+	cache := mumimo.NewCache(clk, time.Duration(4*soundInterval)*slotDur)
 	sched := &mumimo.Scheduler{NTX: cfg.NTX}
 	baseRng := rand.New(rand.NewSource(montecarlo.ShardSeed(cellSeed, 1<<20)))
 
@@ -304,7 +285,7 @@ func runCell(cfg SoakConfig, cell int) (*cellResult, error) {
 		}
 		st := &soakStation{
 			idx:     i,
-			nrx:     1 + i%2,
+			nrx:     stationNRX(i),
 			rng:     rng,
 			backoff: bo,
 			stats:   StationStats{Cell: cell, Station: i, Scenario: scenario},
@@ -328,7 +309,7 @@ func runCell(cfg SoakConfig, cell int) (*cellResult, error) {
 		// interval. Cached CSI keeps pointing at the previous draw until
 		// the next sounding round — precoding from stale feedback is the
 		// point of the scenario.
-		if fading && slot > 0 && slot%cfg.CoherenceSlots == 0 {
+		if fading && slot > 0 && slot%coherenceSlots == 0 {
 			for _, st := range stations {
 				st.h = drawChannel(st.rng, st.nrx, cfg.NTX)
 			}
@@ -336,15 +317,15 @@ func runCell(cfg SoakConfig, cell int) (*cellResult, error) {
 
 		// Churn: one station (cycling deterministically) tears down and
 		// stays away for half an interval before re-contending.
-		if churn && slot > 0 && slot%cfg.ChurnInterval == 0 {
-			victim := stations[(slot/cfg.ChurnInterval-1)%len(stations)]
+		if churn && slot > 0 && slot%churnInterval == 0 {
+			victim := stations[(slot/churnInterval-1)%len(stations)]
 			if victim.id != 0 {
 				table.Teardown(victim.id)
 				cache.Remove(victim.id)
 				delete(byID, victim.id)
 				victim.id = 0
 				victim.queue = 0
-				victim.away = cfg.ChurnInterval / 2
+				victim.away = churnInterval / 2
 			}
 		}
 
@@ -354,7 +335,7 @@ func runCell(cfg SoakConfig, cell int) (*cellResult, error) {
 				st.away--
 				continue
 			}
-			if st.rng.Float64() < cfg.ArrivalProb {
+			if st.rng.Float64() < arrivalProb {
 				st.queue++
 			}
 		}
@@ -399,7 +380,7 @@ func runCell(cfg SoakConfig, cell int) (*cellResult, error) {
 
 		// Sounding round: associated stations quantize their current true
 		// channel; the AP caches the dequantized estimate.
-		if slot%cfg.SoundInterval == 0 {
+		if slot%soundInterval == 0 {
 			for _, st := range stations {
 				if st.id == 0 {
 					continue
@@ -514,7 +495,7 @@ func transmitGroup(cfg SoakConfig, table *Table, cache *mumimo.Cache, byID map[u
 				st.stats.DeliveredBits += mpduBits
 				out.muBits += mpduBits
 				if s, ok := table.Get(st.id); ok {
-					table.AddDownlinkBytes(s, cfg.MPDUBytes)
+					table.AddDownlinkBytes(s, soakMPDUBytes)
 				}
 			} else {
 				st.stats.Errors++

@@ -3,8 +3,6 @@ package apmac
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func quickSoak() SoakConfig {
@@ -84,14 +82,5 @@ func TestSoakDefaultsTrackArtifact(t *testing.T) {
 	}
 	if len(soakScenarios) != 4 {
 		t.Errorf("scenario rotation has %d entries", len(soakScenarios))
-	}
-}
-
-func TestSoakInstrumented(t *testing.T) {
-	cfg := quickSoak()
-	cfg.Cells = 1
-	cfg.Registry = obs.NewRegistry()
-	if _, err := RunSoak(cfg); err != nil {
-		t.Fatal(err)
 	}
 }

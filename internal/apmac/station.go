@@ -81,32 +81,21 @@ type ClientConfig struct {
 	Index int
 	// Seed is the campaign seed.
 	Seed int64
-	// NRX is the station's antenna count (1–4). Default 1 + Index%2.
-	NRX int
 	// NTX is the AP antenna count the channel draw spans. Default 4.
 	NTX int
-	// Tones is the sounding report's subcarrier count. Default 4.
-	Tones int
-	// AssocTimeout bounds one association attempt. Default 250ms.
-	AssocTimeout time.Duration
 	// Logger observes station events; nil is silent.
 	Logger *slog.Logger
 	// Clock injects time; nil is the system clock.
+	//mimonet:testonly-ok clock seam for a fake clock; no caller, test or production, injects one yet
 	Clock clock.Clock
 }
 
+// assocTimeout bounds one association attempt.
+const assocTimeout = 250 * time.Millisecond
+
 func (c ClientConfig) withDefaults() ClientConfig {
-	if c.NRX <= 0 {
-		c.NRX = 1 + c.Index%2
-	}
 	if c.NTX <= 0 {
 		c.NTX = 4
-	}
-	if c.Tones <= 0 {
-		c.Tones = soakTones
-	}
-	if c.AssocTimeout <= 0 {
-		c.AssocTimeout = 250 * time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -139,7 +128,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		nonce: uint64(rng.Int63()) | 1, // non-zero: pre-association demux key
 		rdBuf: make([]byte, 64*1024),
 	}
-	s.h = drawChannel(rng, cfg.NRX, cfg.NTX)
+	s.h = drawChannel(rng, stationNRX(cfg.Index), cfg.NTX)
 	return s, nil
 }
 
@@ -205,9 +194,9 @@ func (s *Client) associate(ctx context.Context) error {
 		}
 		s.bump(func(st *ClientStats) { st.AssocTries++ })
 		s.sendMsg(s.nonce, &Msg{
-			Kind: KindAssoc, Nonce: s.nonce, RXAntennas: uint8(s.cfg.NRX),
+			Kind: KindAssoc, Nonce: s.nonce, RXAntennas: uint8(stationNRX(s.cfg.Index)),
 		})
-		deadline := s.clk.Now().Add(s.cfg.AssocTimeout)
+		deadline := s.clk.Now().Add(assocTimeout)
 		for {
 			m, err := s.readMsg(deadline)
 			if err != nil {
@@ -227,7 +216,7 @@ func (s *Client) associate(ctx context.Context) error {
 			return fmt.Errorf("apmac: association failed after %d attempts", s.Snapshot().AssocTries)
 		}
 		bo.Collision()
-		wait := time.Duration(bo.Draw()+1) * s.cfg.AssocTimeout / 4
+		wait := time.Duration(bo.Draw()+1) * assocTimeout / 4
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -238,7 +227,7 @@ func (s *Client) associate(ctx context.Context) error {
 
 // quantizeCSI encodes the station's current channel as compact feedback.
 func (s *Client) quantizeCSI() ([]byte, error) {
-	tones := make([]*cmatrix.Matrix, s.cfg.Tones)
+	tones := make([]*cmatrix.Matrix, soakTones)
 	for i := range tones {
 		tones[i] = s.h
 	}

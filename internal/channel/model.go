@@ -111,24 +111,34 @@ type Config struct {
 
 	// DopplerHz makes the fading taps time-varying inside a burst: each
 	// tap evolves as an AR(1) (Gauss-Markov) process, updated every
-	// DopplerBlock samples with correlation matched to the given maximum
+	// dopplerBlock samples with correlation matched to the given maximum
 	// Doppler frequency. Requires SampleRate. Zero keeps taps static.
 	DopplerHz float64
-	// DopplerBlock is the tap-update granularity in samples (default 80,
-	// one OFDM symbol).
-	DopplerBlock int
 
 	// Front-end impairments, all zero by default.
-	CFOHz           float64    // carrier frequency offset
-	SampleRate      float64    // needed when CFOHz or ClockPPM set; e.g. 20e6
-	ClockPPM        float64    // sampling clock offset in parts per million
-	IQGainDB        float64    // IQ amplitude imbalance
-	IQPhaseDeg      float64    // IQ phase imbalance
-	PhaseNoiseHz    float64    // oscillator linewidth (Wiener phase noise)
-	DCOffset        complex128 // additive DC
-	TimingOffset    int        // extra lead samples of pure noise before the burst
-	TrailingSilence int        // noise samples appended after the burst
+	CFOHz      float64 // carrier frequency offset
+	SampleRate float64 // needed when CFOHz or ClockPPM set; e.g. 20e6
+	// ClockPPM is the sampling clock offset in parts per million.
+	//mimonet:testonly-ok switchable front-end impairment; TestLoopbackUnderFrontEndImpairments drives it
+	ClockPPM float64
+	// IQGainDB and IQPhaseDeg are the IQ amplitude and phase imbalance.
+	//mimonet:testonly-ok switchable front-end impairment; TestLoopbackUnderFrontEndImpairments drives it
+	IQGainDB float64
+	//mimonet:testonly-ok switchable front-end impairment; TestLoopbackUnderFrontEndImpairments drives it
+	IQPhaseDeg float64
+	// PhaseNoiseHz is the oscillator linewidth (Wiener phase noise).
+	//mimonet:testonly-ok switchable front-end impairment; TestLoopbackUnderFrontEndImpairments drives it
+	PhaseNoiseHz float64
+	// DCOffset is an additive DC term.
+	//mimonet:testonly-ok switchable front-end impairment; TestLoopbackUnderFrontEndImpairments drives it
+	DCOffset        complex128
+	TimingOffset    int // extra lead samples of pure noise before the burst
+	TrailingSilence int // noise samples appended after the burst
 }
+
+// dopplerBlock is the Doppler tap-update granularity in samples: one OFDM
+// symbol.
+const dopplerBlock = 80
 
 // Channel applies a Config to transmit bursts. Not safe for concurrent use
 // (it owns an RNG); create one per goroutine.
@@ -150,12 +160,6 @@ func New(cfg Config) (*Channel, error) {
 	}
 	if cfg.DopplerHz < 0 {
 		return nil, fmt.Errorf("channel: negative Doppler")
-	}
-	if cfg.DopplerBlock == 0 {
-		cfg.DopplerBlock = 80
-	}
-	if cfg.DopplerBlock < 1 {
-		return nil, fmt.Errorf("channel: DopplerBlock must be positive")
 	}
 	if cfg.DopplerHz > 0 && cfg.Model == Identity {
 		return nil, fmt.Errorf("channel: Doppler requires a fading model")
@@ -311,11 +315,11 @@ func (c *Channel) Apply(tx [][]complex128) ([][]complex128, error) {
 	if c.cfg.DopplerHz > 0 {
 		// Gauss-Markov correlation over one block, from the Gaussian
 		// Doppler spectrum approximation exp(−(2π f_D τ)²/2).
-		tau := float64(c.cfg.DopplerBlock) / c.cfg.SampleRate
+		tau := float64(dopplerBlock) / c.cfg.SampleRate
 		x := 2 * math.Pi * c.cfg.DopplerHz * tau
 		rho = math.Exp(-x * x / 2)
 		innov = math.Sqrt(1 - rho*rho)
-		numBlocks = (n + c.cfg.DopplerBlock - 1) / c.cfg.DopplerBlock
+		numBlocks = (n + dopplerBlock - 1) / dopplerBlock
 	}
 	for rx := 0; rx < c.cfg.NumRX; rx++ {
 		out := make([]complex128, n+tapLen-1)
@@ -347,8 +351,8 @@ func (c *Channel) Apply(tx [][]complex128) ([][]complex128, error) {
 				taps := append([]complex128(nil), c.taps[rx][t]...)
 				vars := tapStds(taps, c.cfg.Model, c.numTaps())
 				for b := 0; b < numBlocks; b++ {
-					lo := b * c.cfg.DopplerBlock
-					hi := lo + c.cfg.DopplerBlock
+					lo := b * dopplerBlock
+					hi := lo + dopplerBlock
 					if hi > n {
 						hi = n
 					}

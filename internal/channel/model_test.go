@@ -350,9 +350,6 @@ func TestDopplerValidation(t *testing.T) {
 	if _, err := New(Config{NumTX: 1, NumRX: 1, Model: FlatRayleigh, DopplerHz: -1, SampleRate: 20e6}); err == nil {
 		t.Error("negative Doppler should fail")
 	}
-	if _, err := New(Config{NumTX: 1, NumRX: 1, Model: FlatRayleigh, DopplerHz: 10, SampleRate: 20e6, DopplerBlock: -2}); err == nil {
-		t.Error("negative DopplerBlock should fail")
-	}
 }
 
 func TestDopplerDecorrelatesWithinBurst(t *testing.T) {

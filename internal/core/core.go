@@ -19,6 +19,7 @@ type LinkConfig struct {
 	// antenna count follows from it.
 	MCS int
 	// NumRXAntennas is the receiver antenna count; defaults to N_SS.
+	//mimonet:testonly-ok the link integration tests sweep receiver antenna counts; the experiments build their receivers directly
 	NumRXAntennas int
 	// Detector selects the MIMO detector ("zf", "mmse", "sic", "ml");
 	// default "mmse".
@@ -29,11 +30,14 @@ type LinkConfig struct {
 	// DisablePhaseTracking, SmoothingWindow and CPMLSync forward to
 	// phy.RxConfig.
 	DisablePhaseTracking bool
-	SmoothingWindow      int
-	CPMLSync             bool
+	//mimonet:testonly-ok the link's copy of phy.RxConfig.SmoothingWindow, which phy tests drive
+	SmoothingWindow int
+	CPMLSync        bool
 	// ScramblerSeed forwards to phy.TxConfig (0 selects all-ones).
+	//mimonet:testonly-ok the link's copy of phy.TxConfig.ScramblerSeed, which phy tests vary
 	ScramblerSeed byte
 	// ShortGI selects the 400 ns guard interval.
+	//mimonet:testonly-ok TestLinkShortGI and the link integration sweep drive the 400 ns guard interval
 	ShortGI bool
 }
 

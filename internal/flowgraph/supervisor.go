@@ -30,9 +30,6 @@ type Policy struct {
 	// source, while downstream has capacity) is declared stalled and its
 	// attempt is cancelled. Zero disables the watchdog.
 	StallTimeout time.Duration
-	// StallGrace bounds the wait for a cancelled attempt to unwind before
-	// its goroutine is abandoned. Default 250ms.
-	StallGrace time.Duration
 	// TrackHealth enables per-chunk health accounting (edge pumps) even
 	// without a watchdog. Implied by StallTimeout > 0.
 	TrackHealth bool
@@ -70,12 +67,13 @@ func (p Policy) withDefaults() Policy {
 			}
 		}
 	}
-	if p.StallTimeout > 0 && p.StallGrace <= 0 {
-		p.StallGrace = 250 * time.Millisecond
-	}
 	p.Clock = clock.Or(p.Clock)
 	return p
 }
+
+// stallGrace bounds the wait for a cancelled attempt to unwind before its
+// goroutine is abandoned.
+const stallGrace = 300 * time.Millisecond
 
 // instrumented reports whether edges need counting pumps.
 func (p Policy) instrumented() bool {
@@ -272,7 +270,7 @@ func (s *supervisor) attempt(ctx context.Context, b Block, st *blockState, attem
 			if ctx.Err() != nil {
 				// Graph is shutting down; give the block a bounded window
 				// to unwind rather than hanging Run on a wedged goroutine.
-				grace := s.policy.StallGrace
+				grace := stallGrace
 				if grace < s.policy.StallTimeout {
 					grace = s.policy.StallTimeout
 				}
@@ -304,7 +302,7 @@ func (s *supervisor) attempt(ctx context.Context, b Block, st *blockState, attem
 				// The attempt unwound cooperatively; report the stall, not
 				// the context error the cancelled Run returned.
 				return &BlockError{Block: st.name, Kind: KindStall, Attempt: attempt, Err: serr}
-			case <-clk.After(s.policy.StallGrace):
+			case <-clk.After(stallGrace):
 				st.health.AddAbandoned()
 				return &BlockError{Block: st.name, Kind: KindStall, Attempt: attempt,
 					Err: fmt.Errorf("%w (goroutine abandoned)", serr)}

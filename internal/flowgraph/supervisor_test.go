@@ -202,7 +202,7 @@ func TestWatchdogDetectsStall(t *testing.T) {
 	tr := &restartableTransform{name: "wedge", panicAt: -1, failAt: -1, stallAt: 1}
 	var got atomic.Int64
 	buildChain(t, g, mkSource("src", 6, 1), tr, countingSink(&got))
-	if err := g.SetPolicy(Policy{StallTimeout: 50 * time.Millisecond, StallGrace: 200 * time.Millisecond}); err != nil {
+	if err := g.SetPolicy(Policy{StallTimeout: 50 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -230,7 +230,7 @@ func TestStallRestart(t *testing.T) {
 	buildChain(t, g, mkSource("src", 6, 1), tr, countingSink(&got))
 	if err := g.SetPolicy(Policy{
 		MaxRestarts: 1, BackoffBase: time.Millisecond,
-		StallTimeout: 50 * time.Millisecond, StallGrace: 200 * time.Millisecond,
+		StallTimeout: 50 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
 	}

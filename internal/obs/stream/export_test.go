@@ -1,5 +1,12 @@
 package stream
 
+// QueueDepth and JournalDepth are the hub's subscriber queue and replay
+// ring sizes.
+const (
+	QueueDepth   = queueDepth
+	JournalDepth = journalDepth
+)
+
 // Node returns the hub's node identity ("" on nil).
 func (h *Hub) Node() string {
 	if h == nil {

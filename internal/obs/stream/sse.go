@@ -6,7 +6,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 )
+
+// maxSSEBytes caps one SSE line and one frame's joined data lines, so a
+// peer that never ends a frame cannot grow the reader's memory without
+// bound.
+const maxSSEBytes = 4 << 20
 
 // Handler serves the hub as a server-sent-events stream (RFC-less but
 // ubiquitous: text/event-stream frames of "event:" + "data:" lines). Each
@@ -45,7 +51,7 @@ func Handler(h *Hub) http.Handler {
 				if !ok {
 					return
 				}
-				if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", f.Event, f.Data); err != nil {
+				if err := writeFrame(w, f); err != nil {
 					return
 				}
 				fl.Flush()
@@ -54,12 +60,20 @@ func Handler(h *Hub) http.Handler {
 	})
 }
 
+// writeFrame writes f as one text/event-stream frame. f.Data must be one
+// line; every frame the hub makes is one line of JSON.
+func writeFrame(w io.Writer, f Frame) error {
+	_, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", f.Event, f.Data)
+	return err
+}
+
 // ReadSSE parses a text/event-stream from r and invokes fn for every
-// complete frame, until EOF (nil return), a read error, or fn returning an
-// error. Comment lines (":" prefix) and unknown fields are skipped.
+// complete frame, until EOF (nil return), a read error, a line or frame
+// over maxSSEBytes, or fn returning an error. Comment lines (":" prefix)
+// and unknown fields are skipped.
 func ReadSSE(r io.Reader, fn func(Frame) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxSSEBytes)
 	var event string
 	var data bytes.Buffer
 	flush := func() error {
@@ -80,13 +94,17 @@ func ReadSSE(r io.Reader, fn func(Frame) error) error {
 			}
 		case line[0] == ':':
 			// comment / keep-alive
-		case bytes.HasPrefix([]byte(line), []byte("event:")):
+		case strings.HasPrefix(line, "event:"):
 			event = trimField(line[len("event:"):])
-		case bytes.HasPrefix([]byte(line), []byte("data:")):
+		case strings.HasPrefix(line, "data:"):
+			field := trimField(line[len("data:"):])
 			if data.Len() > 0 {
+				if data.Len()+1+len(field) > maxSSEBytes {
+					return fmt.Errorf("stream: SSE frame data over %d bytes", maxSSEBytes)
+				}
 				data.WriteByte('\n')
 			}
-			data.WriteString(trimField(line[len("data:"):]))
+			data.WriteString(field)
 		}
 	}
 	if err := sc.Err(); err != nil {

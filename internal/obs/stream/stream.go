@@ -118,27 +118,24 @@ type Config struct {
 	// journal events.
 	Tracer *obs.Tracer
 	// Clock injects time; nil is the system clock.
+	//mimonet:testonly-ok tests inject clock.Fake to drive snapshot ticks and event stamps
 	Clock clock.Clock
 	// SnapshotPeriod is the metric snapshot cadence. Default 1s.
 	SnapshotPeriod time.Duration
-	// QueueDepth bounds each subscriber's frame queue. A subscriber whose
-	// queue fills is dropped. Default 256.
-	QueueDepth int
-	// JournalDepth sizes the replay ring handed to new subscribers.
-	// Default 256.
-	JournalDepth int
 }
+
+const (
+	// queueDepth bounds each subscriber's frame queue. A subscriber whose
+	// queue fills is dropped.
+	queueDepth = 256
+	// journalDepth sizes the replay ring handed to new subscribers.
+	journalDepth = 256
+)
 
 func (c Config) withDefaults() Config {
 	c.Clock = clock.Or(c.Clock)
 	if c.SnapshotPeriod <= 0 {
 		c.SnapshotPeriod = time.Second
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	if c.JournalDepth <= 0 {
-		c.JournalDepth = 256
 	}
 	return c
 }
@@ -174,7 +171,7 @@ func NewHub(cfg Config) *Hub {
 		cfg:  cfg,
 		clk:  cfg.Clock,
 		subs: make(map[*Subscriber]struct{}),
-		ring: make([]Event, cfg.JournalDepth),
+		ring: make([]Event, journalDepth),
 	}
 	if reg := cfg.Registry; reg != nil {
 		h.gSubs = reg.Gauge("mimonet_stream_subscribers", "live stream subscribers")
@@ -274,7 +271,7 @@ var errNilHub = errors.New("stream: nil hub")
 // frame, a replay of the journal ring (oldest first), and — when a
 // registry is configured — one full (non-delta) metric snapshot, so a
 // late subscriber starts from a complete picture before live deltas and
-// events flow. The queue is sized QueueDepth beyond the seed, so the seed
+// events flow. The queue is sized queueDepth beyond the seed, so the seed
 // itself can never trip the drop policy.
 func (h *Hub) Subscribe() (*Subscriber, error) {
 	if h == nil {
@@ -298,7 +295,7 @@ func (h *Hub) Subscribe() (*Subscriber, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	replay := h.replayLocked()
-	s := &Subscriber{hub: h, ch: make(chan Frame, h.cfg.QueueDepth+len(replay)+2)}
+	s := &Subscriber{hub: h, ch: make(chan Frame, queueDepth+len(replay)+2)}
 	s.C = s.ch
 	hello, err := json.Marshal(Hello{
 		Node:       h.cfg.Node,

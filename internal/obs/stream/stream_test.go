@@ -109,8 +109,9 @@ func TestJournalReplayAndLive(t *testing.T) {
 
 func TestJournalRingKeepsNewest(t *testing.T) {
 	clk := clock.NewFake(time.Unix(3000, 0))
-	h := stream.NewHub(stream.Config{Node: "gw", Clock: clk, JournalDepth: 4})
-	for i := 1; i <= 10; i++ {
+	h := stream.NewHub(stream.Config{Node: "gw", Clock: clk})
+	const published = stream.JournalDepth + 6
+	for i := 1; i <= published; i++ {
 		h.Publish(stream.Event{Type: stream.EventSessionOpened, Session: uint64(i)})
 	}
 	sub, err := h.Subscribe()
@@ -119,7 +120,7 @@ func TestJournalRingKeepsNewest(t *testing.T) {
 	}
 	defer sub.Close()
 	recv(t, sub.C) // hello
-	for want := uint64(7); want <= 10; want++ {
+	for want := uint64(7); want <= published; want++ {
 		ev := decodeEvent(t, recv(t, sub.C))
 		if ev.Seq != want {
 			t.Fatalf("replay seq = %d, want %d", ev.Seq, want)
@@ -148,7 +149,7 @@ func TestSlowSubscriberDropped(t *testing.T) {
 	clk := clock.NewFake(time.Unix(3000, 0))
 	// No registry: the attach sequence is just the hello frame, so the
 	// journal arithmetic below is exact.
-	h := stream.NewHub(stream.Config{Node: "gw", Clock: clk, QueueDepth: 4})
+	h := stream.NewHub(stream.Config{Node: "gw", Clock: clk})
 	slow, err := h.Subscribe()
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +166,7 @@ func TestSlowSubscriberDropped(t *testing.T) {
 	// Publish far past the slow queue's bound, draining fast in lockstep so
 	// only the stalled subscriber ever fills. The loop finishing at all is
 	// the publisher-never-blocks assertion.
-	const publishes = 100
+	const publishes = 2 * stream.QueueDepth
 	for i := 0; i < publishes; i++ {
 		h.Publish(stream.Event{Type: stream.EventStationAssoc, Station: uint16(i + 1)})
 		ev := decodeEvent(t, recv(t, fast.C))

@@ -123,12 +123,12 @@ type Receiver struct {
 	// packetID is the TX-assigned correlation key of the burst about to be
 	// decoded (0 = unknown), stamped onto traces and flight evidence.
 	packetID uint64
-	// Batched data-phase state (rxbatch.go): the size-classed scratch pool,
-	// the persistent worker set, and the per-MCS fused scatter tables.
-	pool         bufPool
+	// Batched data-phase state (rxbatch.go): the persistent worker set and
+	// the per-MCS fused scatter tables.
 	workers      []*rxWorker
 	scatterCache map[int][][]int32
-	// Packet-lifetime slice headers and pilot reference buffers, reused.
+	// Per-antenna tone and pilot slabs of the data phase, grow-only like
+	// depBuf, and reused slice headers and pilot reference buffers.
 	tones      [][]complex128
 	pilots     [][]complex128
 	pilotViews [][]complex128
@@ -549,7 +549,7 @@ func descramble(bits []byte) []byte {
 
 // detect runs the streaming packet detector over the buffers.
 func (r *Receiver) detect(rx [][]complex128) (*synchro.Detection, error) {
-	d, err := synchro.NewDetector(len(rx), synchro.DefaultDetectorConfig())
+	d, err := synchro.NewDetector(len(rx))
 	if err != nil {
 		return nil, err
 	}

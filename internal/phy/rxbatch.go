@@ -2,7 +2,6 @@ package phy
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/chanest"
@@ -24,60 +23,13 @@ import (
 // experiment sweeps, applied inside a single packet.
 const batchShardSymbols = 4
 
-// bufPool hands out packet-lifetime scratch slices in power-of-two size
-// classes. Buffers are taken at the start of the data phase and returned at
-// the end, so after the first packet of a steady-state link every class is
-// warm and the data phase performs no slice allocation at all. The pool
-// belongs to a single receiver and inherits its no-concurrent-use contract.
-type bufPool struct {
-	c128 [33][][]complex128
-	f64  [33][][]float64
-}
-
-// sizeClass returns the pool class for a request of n elements: the
-// smallest power-of-two exponent with 1<<class ≥ n.
-func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
-
-func (p *bufPool) getC128(n int) []complex128 {
-	if n <= 0 {
-		return nil
+// growC128 returns s resliced to n elements, reallocating only when its
+// capacity is short: a grow-only slab that is warm after the largest packet.
+func growC128(s []complex128, n int) []complex128 {
+	if cap(s) < n {
+		return make([]complex128, n)
 	}
-	c := sizeClass(n)
-	if l := p.c128[c]; len(l) > 0 {
-		s := l[len(l)-1]
-		p.c128[c] = l[:len(l)-1]
-		return s[:n]
-	}
-	return make([]complex128, n, 1<<c)
-}
-
-func (p *bufPool) putC128(s []complex128) {
-	if cap(s) == 0 {
-		return
-	}
-	c := bits.Len(uint(cap(s))) - 1 // floor: slabs in class c always hold ≥ 1<<c
-	p.c128[c] = append(p.c128[c], s[:0])
-}
-
-func (p *bufPool) getF64(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	if l := p.f64[c]; len(l) > 0 {
-		s := l[len(l)-1]
-		p.f64[c] = l[:len(l)-1]
-		return s[:n]
-	}
-	return make([]float64, n, 1<<c)
-}
-
-func (p *bufPool) putF64(s []float64) {
-	if cap(s) == 0 {
-		return
-	}
-	c := bits.Len(uint(cap(s))) - 1
-	p.f64[c] = append(p.f64[c], s[:0])
+	return s[:n]
 }
 
 // rxWorker is the private state of one batch-pass worker: an OFDM
@@ -142,25 +94,18 @@ func (r *Receiver) dataBatch(ctx *dataCtx, tr *obs.Trace) ([]float64, error) {
 		return nil, err
 	}
 
-	// Packet-wide tone and pilot blocks from the pool, one per antenna:
+	// Packet-wide tone and pilot blocks, one grow-only slab per antenna:
 	// tones[a][n*nd+k] is symbol n's data tone k.
-	if cap(r.tones) < nRx {
-		r.tones = make([][]complex128, nRx)
-		r.pilots = make([][]complex128, nRx)
+	for len(r.tones) < nRx {
+		r.tones = append(r.tones, nil)
+		r.pilots = append(r.pilots, nil)
 	}
 	tones := r.tones[:nRx]
 	pilots := r.pilots[:nRx]
 	for a := 0; a < nRx; a++ {
-		tones[a] = r.pool.getC128(nSym * nd)
-		pilots[a] = r.pool.getC128(nSym * np)
+		tones[a] = growC128(tones[a], nSym*nd)
+		pilots[a] = growC128(pilots[a], nSym*np)
 	}
-	defer func() {
-		for a := 0; a < nRx; a++ {
-			r.pool.putC128(tones[a])
-			r.pool.putC128(pilots[a])
-			tones[a], pilots[a] = nil, nil
-		}
-	}()
 
 	shards := (nSym + batchShardSymbols - 1) / batchShardSymbols
 	nw := montecarlo.Workers(r.cfg.Workers)

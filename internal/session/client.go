@@ -35,12 +35,6 @@ type ClientConfig struct {
 	// SessionID identifies the transfer; zero draws a random non-zero ID
 	// from Rand.
 	SessionID uint64
-	// ChunkSize is the requested chunk payload size. Default
-	// DefaultChunkBytes, capped at MaxChunkBytes.
-	ChunkSize int
-	// Window bounds ARQ outstanding chunks (≤ 64); the effective limit
-	// each round is min(Window, gateway credit). Default 32.
-	Window int
 
 	// Clock is the injectable time source. Rand seeds the jitter and the
 	// session ID; nil falls back to a fixed-seed source (fine for a single
@@ -57,17 +51,6 @@ type ClientConfig struct {
 	// HandshakeRetries bounds the attempts. Defaults 150ms and 8.
 	HandshakeTimeout time.Duration
 	HandshakeRetries int
-	// MaxRetries is the per-chunk ARQ transmission budget before the frame
-	// drops (which triggers reconnect-with-resume). Default 8.
-	MaxRetries int
-	// BackoffBase/BackoffMax/JitterFrac shape the ARQ retry backoff.
-	// Defaults 2ms, 50ms, 0.3.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	JitterFrac  float64
-	// DeadRounds triggers reconnect after this many consecutive rounds
-	// with zero acknowledged progress. Default 6.
-	DeadRounds int
 	// ReconnectBase/ReconnectMax shape the capped exponential
 	// backoff-plus-jitter between reconnect attempts; MaxReconnects is the
 	// retry budget after which the transfer fails closed. Defaults 10ms,
@@ -81,22 +64,28 @@ type ClientConfig struct {
 	Intercept func(datagram []byte) [][]byte
 }
 
+// Client ARQ constants.
+const (
+	// arqWindow bounds ARQ outstanding chunks (≤ 64); the effective limit
+	// each round is min(arqWindow, gateway credit).
+	arqWindow = 32
+	// arqMaxRetries is the per-chunk ARQ transmission budget before the
+	// frame drops, which triggers reconnect-with-resume.
+	arqMaxRetries = 8
+	// arqBackoffBase, arqBackoffMax and arqJitterFrac shape the ARQ retry
+	// backoff.
+	arqBackoffBase = 2 * time.Millisecond
+	arqBackoffMax  = 50 * time.Millisecond
+	arqJitterFrac  = 0.3
+	// maxDeadRounds triggers reconnect after this many consecutive rounds
+	// with zero acknowledged progress.
+	maxDeadRounds = 6
+)
+
 func (c ClientConfig) withDefaults() ClientConfig {
 	c.Clock = clock.Or(c.Clock)
 	if c.Rand == nil {
 		c.Rand = rand.New(rand.NewSource(1)) //mimonet:globalrand-ok seeded fallback, not the global source
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = DefaultChunkBytes
-	}
-	if c.ChunkSize > MaxChunkBytes {
-		c.ChunkSize = MaxChunkBytes
-	}
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.Window > 64 {
-		c.Window = 64
 	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 30 * time.Millisecond
@@ -106,21 +95,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.HandshakeRetries <= 0 {
 		c.HandshakeRetries = 8
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 8
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 2 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 50 * time.Millisecond
-	}
-	if c.JitterFrac == 0 {
-		c.JitterFrac = 0.3
-	}
-	if c.DeadRounds <= 0 {
-		c.DeadRounds = 6
 	}
 	if c.ReconnectBase <= 0 {
 		c.ReconnectBase = 10 * time.Millisecond
@@ -330,14 +304,13 @@ type xfer struct {
 // failure — reset from the peer, exhausted reconnect or handshake budget,
 // cancelled context — is a *SessionError and the session is dead.
 func (c *Client) Send(ctx context.Context, data []byte) error {
-	cfg := &c.cfg
 	if err := c.dial(); err != nil {
 		return c.fail("dial: " + err.Error())
 	}
 	defer c.closeConn()
 
 	total := uint64(len(data))
-	hello := &Msg{Kind: KindHello, Total: total, ChunkSize: uint32(cfg.ChunkSize)}
+	hello := &Msg{Kind: KindHello, Total: total, ChunkSize: DefaultChunkBytes}
 	ack, err := c.exchange(ctx, hello, KindHelloAck)
 	if err != nil {
 		return err
@@ -363,8 +336,8 @@ transfer:
 		}
 		// Fill the window up to both the ARQ bound and the peer's credit.
 		limit := x.credit
-		if limit > cfg.Window {
-			limit = cfg.Window
+		if limit > arqWindow {
+			limit = arqWindow
 		}
 		for x.arq.Outstanding() < limit && x.nextIdx < numChunks {
 			off := x.nextIdx * chunk
@@ -400,7 +373,7 @@ transfer:
 		released := false
 		finished := false
 		peerLost := false
-		deadline := c.clk.Now().Add(cfg.AckTimeout)
+		deadline := c.clk.Now().Add(c.cfg.AckTimeout)
 		for !sendErr && !peerLost {
 			m, err := c.readMsg(deadline)
 			if err != nil {
@@ -463,7 +436,7 @@ transfer:
 		if x.arq.Outstanding() > 0 {
 			x.arq.Apply(mac.BlockAck{})
 		}
-		if deadRounds >= cfg.DeadRounds {
+		if deadRounds >= maxDeadRounds {
 			cum, x, err = c.reconnect(ctx, total, chunk, "dead-link")
 			if err != nil {
 				return err
@@ -509,14 +482,14 @@ transfer:
 
 // newXfer builds a fresh ARQ epoch starting at the given cumulative offset.
 func (c *Client) newXfer(cum, chunk uint64, credit int) (*xfer, error) {
-	arq, err := mac.NewARQSender(c.cfg.Window)
+	arq, err := mac.NewARQSender(arqWindow)
 	if err != nil {
 		return nil, err
 	}
-	arq.MaxRetries = c.cfg.MaxRetries
-	arq.BackoffBase = c.cfg.BackoffBase
-	arq.BackoffMax = c.cfg.BackoffMax
-	arq.JitterFrac = c.cfg.JitterFrac
+	arq.MaxRetries = arqMaxRetries
+	arq.BackoffBase = arqBackoffBase
+	arq.BackoffMax = arqBackoffMax
+	arq.JitterFrac = arqJitterFrac
 	arq.SetJitterSource(c.rng)
 	if credit <= 0 {
 		credit = 1

@@ -40,28 +40,13 @@ type Config struct {
 	// hub is nil-safe).
 	Events *stream.Hub
 
-	// HandshakeTimeout evicts a session that never completes its first
-	// exchange. Default 2s.
-	HandshakeTimeout time.Duration
 	// IdleTimeout evicts a transfer with no datagrams at all for this
 	// long — the fail-closed guarantee that an abandoned peer cannot pin
 	// gateway state forever. Default 3s.
 	IdleTimeout time.Duration
-	// DrainLinger keeps a completed session around to re-acknowledge
-	// duplicate FINs before its state is discarded. Default 200ms.
-	DrainLinger time.Duration
-
-	// CreditWindow is the flow-control grant: chunks a client may have
-	// outstanding beyond the cumulative offset. Capped at 64 (the Block
-	// Ack bitmap). Default 32.
-	CreditWindow int
 	// MaxSessions bounds concurrently live sessions; a HELLO beyond it is
 	// answered with RESET "busy". Default 1024.
 	MaxSessions int
-	// MailboxDepth is each session worker's inbound queue; the demux drops
-	// (never blocks) when a mailbox is full — UDP semantics end to end.
-	// Default 64.
-	MailboxDepth int
 
 	// Intercept, when set, sees every outbound datagram before
 	// transmission and returns the datagrams to actually send — the
@@ -75,28 +60,30 @@ type Config struct {
 	NewSink func(sessionID uint64) io.Writer
 }
 
+// Gateway constants.
+const (
+	// handshakeTimeout evicts a session that never completes its first
+	// exchange.
+	handshakeTimeout = 2 * time.Second
+	// drainLinger keeps a completed session around to re-acknowledge
+	// duplicate FINs before its state is discarded.
+	drainLinger = 200 * time.Millisecond
+	// creditWindow is the flow-control grant: chunks a client may have
+	// outstanding beyond the cumulative offset. At most 64, the Block Ack
+	// bitmap; it equals the client's ARQ window.
+	creditWindow = 32
+	// mailboxDepth is each session worker's inbound queue; the demux drops
+	// (never blocks) when a mailbox is full — UDP semantics end to end.
+	mailboxDepth = 64
+)
+
 func (c Config) withDefaults() Config {
 	c.Clock = clock.Or(c.Clock)
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 2 * time.Second
-	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 3 * time.Second
 	}
-	if c.DrainLinger <= 0 {
-		c.DrainLinger = 200 * time.Millisecond
-	}
-	if c.CreditWindow <= 0 {
-		c.CreditWindow = 32
-	}
-	if c.CreditWindow > 64 {
-		c.CreditWindow = 64
-	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1024
-	}
-	if c.MailboxDepth <= 0 {
-		c.MailboxDepth = 64
 	}
 	return c
 }
@@ -376,7 +363,7 @@ func (g *Gateway) newSessionLocked(id uint64) *gwSession {
 	s := &gwSession{
 		g:       g,
 		id:      id,
-		mbox:    make(chan inEnv, g.cfg.MailboxDepth),
+		mbox:    make(chan inEnv, mailboxDepth),
 		created: g.clk.Now(),
 	}
 	g.sessions[id] = s
@@ -463,7 +450,6 @@ type gwSession struct {
 
 	total     uint64
 	chunkSize uint64
-	credit    int
 	sink      io.Writer
 
 	cum      uint64
@@ -544,9 +530,9 @@ func (g *Gateway) runContext() context.Context {
 func (s *gwSession) deadline() time.Duration {
 	switch s.mach.State() {
 	case StateHandshake:
-		return s.g.cfg.HandshakeTimeout
+		return handshakeTimeout
 	case StateDraining:
-		return s.g.cfg.DrainLinger
+		return drainLinger
 	default:
 		return s.g.cfg.IdleTimeout
 	}
@@ -612,8 +598,7 @@ func (s *gwSession) open(m *Msg, ackKind Kind) {
 		}
 		s.chunkSize = cs
 		s.total = m.Total
-		s.credit = s.g.cfg.CreditWindow
-		s.buffered = make(map[uint64][]byte, s.credit)
+		s.buffered = make(map[uint64][]byte, creditWindow)
 		if s.g.cfg.NewSink != nil {
 			s.sink = s.g.cfg.NewSink(s.id)
 		}
@@ -629,7 +614,7 @@ func (s *gwSession) open(m *Msg, ackKind Kind) {
 				"chunk", s.chunkSize, "kind", m.Kind.String())
 		}
 	}
-	s.send(&Msg{Kind: ackKind, ChunkSize: uint32(s.chunkSize), Credit: uint16(s.credit), CumOffset: s.cum})
+	s.send(&Msg{Kind: ackKind, ChunkSize: uint32(s.chunkSize), Credit: creditWindow, CumOffset: s.cum})
 	s.mach.Step(EvAttach, "")
 	if s.total == 0 {
 		// Zero-length transfer: nothing to move; wait for the FIN.
@@ -653,7 +638,7 @@ func (s *gwSession) data(m *Msg) {
 	default:
 		idx := offset / s.chunkSize
 		base := s.cum / s.chunkSize
-		if idx >= base+uint64(s.credit) {
+		if idx >= base+creditWindow {
 			// Beyond the granted window; the sender is ahead of its
 			// credit. Drop it — acks for in-window traffic restate the
 			// grant and the ARQ re-sends the chunk once it fits.
@@ -701,7 +686,7 @@ func (s *gwSession) ack() {
 		Kind:      KindAck,
 		Ack:       mac.BlockAck{Start: uint16(base & 0x0FFF), Bitmap: bitmap},
 		CumOffset: s.cum,
-		Credit:    uint16(s.credit),
+		Credit:    creditWindow,
 	})
 }
 

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/mac"
 	"repro/internal/radio"
 )
 
@@ -390,30 +392,117 @@ func TestGatewayBusyReset(t *testing.T) {
 	}
 }
 
-// TestFlowControlRespectsCredit grants a tiny credit window and asserts the
-// client never sends past it: the gateway counts zero out-of-window drops
-// while the transfer still completes.
+// TestFlowControlRespectsCredit scripts a gateway that grants two chunks of
+// credit, below the client's ARQ window, and acknowledges a round only once
+// the client falls quiet. The client learns nothing between acks, so every
+// chunk it sends must lie below the last acknowledged offset plus the
+// credit; the transfer must still complete.
 func TestFlowControlRespectsCredit(t *testing.T) {
-	sink := newCapSink()
-	gw, _ := startGateway(t, Config{
-		Listen:       "127.0.0.1:0",
-		CreditWindow: 2,
-		NewSink:      sink.New,
-	})
+	const credit = 2
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
 	data := testPayload(64*1024, 10)
-	c, err := NewClient(ClientConfig{Addr: gw.Addr().String(), SessionID: 11,
+	c, err := NewClient(ClientConfig{Addr: conn.LocalAddr().String(), SessionID: 11,
 		Rand: rand.New(rand.NewSource(11))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(context.Background(), data); err != nil {
-		t.Fatal(err)
+	sent := make(chan error, 1)
+	go func() { sent <- c.Send(context.Background(), data) }()
+
+	var (
+		peer     *net.UDPAddr
+		txSeq    uint64
+		got      []byte
+		next     uint64                    // chunk index just past got
+		buffered = make(map[uint64][]byte) // chunk index → payload past next
+		acked    uint64                    // chunk index the last ack reported
+		pending  bool                      // chunks arrived since the last ack
+	)
+	reply := func(m *Msg) {
+		payload, err := AppendMessage(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txSeq++
+		frame, err := radio.EncodeDataFrame(nil, radio.Header{Seq: txSeq, ID: 11}, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.WriteToUDP(frame, peer); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !bytes.Equal(sink.Bytes(11), data) {
-		t.Fatal("sink mismatch")
-	}
-	if st := gw.Stats(); st.WindowDrops != 0 {
-		t.Fatalf("client overran its credit window %d times: %+v", st.WindowDrops, st)
+	buf := make([]byte, 64*1024)
+	for {
+		wait := 5 * time.Second
+		if pending {
+			wait = 5 * time.Millisecond
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(wait)); err != nil {
+			t.Fatal(err)
+		}
+		n, from, err := conn.ReadFromUDP(buf)
+		if pending && isTimeout(err) {
+			// The client fell quiet: acknowledge its round.
+			var bitmap uint64
+			for i := range buffered {
+				bitmap |= 1 << (i - next)
+			}
+			reply(&Msg{Kind: KindAck, Ack: mac.BlockAck{Start: uint16(next & 0x0FFF), Bitmap: bitmap},
+				CumOffset: uint64(len(got)), Credit: credit})
+			acked, pending = next, false
+			continue
+		}
+		if err != nil {
+			t.Fatalf("scripted gateway: %v", err)
+		}
+		peer = from
+		h, err := radio.DecodeHeader(buf[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := radio.DecodeDataPayload(h, buf[h.HeaderLen():n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := DecodeMessage(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch m.Kind {
+		case KindHello:
+			reply(&Msg{Kind: KindHelloAck, ChunkSize: DefaultChunkBytes, Credit: credit})
+		case KindData:
+			offset, payload := splitChunk(m.Chunk)
+			idx := offset / DefaultChunkBytes
+			if idx >= acked+credit {
+				t.Fatalf("client sent chunk %d with %d chunks acked and %d chunks of credit", idx, acked, credit)
+			}
+			if idx >= next {
+				buffered[idx] = append([]byte(nil), payload...)
+			}
+			for b, ok := buffered[next]; ok; b, ok = buffered[next] {
+				delete(buffered, next)
+				got = append(got, b...)
+				next++
+			}
+			pending = true
+		case KindFin:
+			reply(&Msg{Kind: KindFinAck})
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("scripted gateway reassembled a different payload")
+			}
+			return
+		default:
+			t.Fatalf("unexpected %v from the client", m.Kind)
+		}
 	}
 }
 

@@ -8,13 +8,15 @@
 // The package splits into a pure core and the two endpoints built on it:
 //
 //   - Machine (this file) is the side-effect-free session state machine —
-//     handshake → transfer → draining → closed — shared by both ends and
-//     property-tested in isolation (any event interleaving terminates in
-//     StateClosed and never panics).
+//     handshake → transfer → draining → closed — that each gateway session
+//     worker steps, property-tested in isolation (any event interleaving
+//     terminates in StateClosed and never panics).
 //   - Gateway serves many concurrent sessions over one UDP socket, its
 //     ingress/demux pumps run by the supervised radio.DatagramService.
 //   - Client drives one transfer to completion, reconnecting through
 //     capped-exponential-backoff-plus-jitter when the link dies under it.
+//     It steps no Machine: its transfer loop and retry budgets are its
+//     state.
 //
 // Wire messages ride radio data frames keyed by session ID, so the
 // datagram fault injector of internal/faults applies unchanged at the

@@ -22,7 +22,7 @@ import (
 	"repro/internal/radio"
 )
 
-// SoakScenarios is the default chaos rotation: every session is assigned one
+// SoakScenarios is the chaos rotation: every session is assigned one
 // of these, round-robin. "clean" is the control; the rest exercise loss,
 // corruption, delay/reorder, abrupt client death (reconnect-with-resume),
 // and a link that goes permanently dark (fail-closed eviction).
@@ -56,14 +56,13 @@ type SoakConfig struct {
 	// Seed is the campaign seed; per-session fault streams, payloads, and
 	// kill schedules all derive from it via montecarlo.ShardSeed.
 	Seed int64
-	// Scenarios overrides the default rotation.
-	Scenarios []string
 	// FlightDir receives flight-recorder dumps for failed sessions.
 	// Empty disables the recorder.
 	FlightDir string
 	// Logger observes gateway and harness events. Nil is silent.
 	Logger *slog.Logger
 	// Clock injects time; nil is the system clock.
+	//mimonet:testonly-ok clock seam for a fake clock; no caller, test or production, injects one yet
 	Clock clock.Clock
 }
 
@@ -82,9 +81,6 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if len(c.Scenarios) == 0 {
-		c.Scenarios = SoakScenarios
 	}
 	c.Clock = clock.Or(c.Clock)
 	return c
@@ -187,9 +183,9 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 		Bytes:     cfg.Bytes,
 		Parallel:  cfg.Parallel,
 		Seed:      cfg.Seed,
-		Scenarios: cfg.Scenarios,
+		Scenarios: SoakScenarios,
 		PerScenario: make(map[string]ScenarioOutcome,
-			len(cfg.Scenarios)),
+			len(SoakScenarios)),
 	}
 	// Prime the runtime netpoller before taking the FD baseline: the first
 	// socket a Go process opens lazily creates the poller's epoll and event
@@ -265,7 +261,7 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			scenario := cfg.Scenarios[i%len(cfg.Scenarios)]
+			scenario := SoakScenarios[i%len(SoakScenarios)]
 			id := uint64(i) + 1
 			rng := rand.New(rand.NewSource(montecarlo.ShardSeed(cfg.Seed, 4*i)))
 			payload := make([]byte, cfg.Bytes)
@@ -365,7 +361,7 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
 	// sessions closed before shutting down, so the artifact records the
 	// idle-timeout path rather than a shutdown sweep. Bounded: idle timeout
 	// plus drain linger plus slack.
-	evictBy := clk.Now().Add(gw.cfg.IdleTimeout + gw.cfg.DrainLinger + 2*time.Second)
+	evictBy := clk.Now().Add(gw.cfg.IdleTimeout + drainLinger + 2*time.Second)
 	for gw.Stats().Active > 0 && clk.Now().Before(evictBy) {
 		time.Sleep(10 * time.Millisecond) //mimonet:wallclock-ok settle loop on the real scheduler
 	}

@@ -259,7 +259,7 @@ func E10PacketDetection(opt Options) (*Table, error) {
 		func(shard int) (e10Result, error) {
 			var acc e10Result
 			r := rand.New(rand.NewSource(montecarlo.ShardSeed(opt.Seed+10, shard)))
-			d, err := synchro.NewDetector(2, synchro.DefaultDetectorConfig())
+			d, err := synchro.NewDetector(2)
 			if err != nil {
 				return acc, err
 			}

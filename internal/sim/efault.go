@@ -28,7 +28,6 @@ var chaosPolicy = flowgraph.Policy{
 	BackoffBase:  2 * time.Millisecond,
 	BackoffMax:   20 * time.Millisecond,
 	StallTimeout: 500 * time.Millisecond,
-	StallGrace:   300 * time.Millisecond,
 	TrackHealth:  true,
 }
 

@@ -17,28 +17,24 @@ import (
 	"repro/internal/preamble"
 )
 
-// DetectorConfig tunes the packet detector.
-type DetectorConfig struct {
-	// Threshold on the normalized metric |γ|/Φ ∈ [0, 1]. Typical 0.6-0.8.
-	Threshold float64
-	// Plateau is how many consecutive samples must exceed Threshold before
-	// a detection fires; guards against impulsive noise. Typical 16-48.
-	Plateau int
-	// MinPower discards windows whose average sample power is below this,
-	// preventing detections on idle-channel noise correlations. 0 disables.
-	MinPower float64
-}
-
-// DefaultDetectorConfig returns the configuration used throughout the
-// benchmarks: threshold 0.7, plateau 24 samples.
-func DefaultDetectorConfig() DetectorConfig {
-	return DetectorConfig{Threshold: 0.7, Plateau: 24, MinPower: 1e-6}
-}
+// Packet detector constants.
+const (
+	// detectThreshold is the threshold on the normalized metric
+	// |γ|/Φ ∈ [0, 1].
+	detectThreshold = 0.7
+	// detectPlateau is how many consecutive samples must exceed
+	// detectThreshold before a detection fires; it guards against
+	// impulsive noise.
+	detectPlateau = 24
+	// detectMinPower discards windows whose average sample power is below
+	// it, preventing detections on idle-channel noise correlations.
+	detectMinPower = 1e-6
+)
 
 // Detection reports a packet detection.
 type Detection struct {
 	// Index is the sample index at which the plateau completed. The STF
-	// start precedes it by roughly Plateau + window samples; fine timing
+	// start precedes it by roughly the plateau plus the window; fine timing
 	// against the LTF refines this.
 	Index int
 	// Metric is the normalized autocorrelation at the detection point.
@@ -47,10 +43,9 @@ type Detection struct {
 
 // Detector is a streaming packet detector over one or more receive antennas.
 // Feed samples with Push; it reports a Detection when the combined STF
-// metric exceeds the threshold for Plateau consecutive samples. Not safe for
-// concurrent use.
+// metric exceeds detectThreshold for detectPlateau consecutive samples. Not
+// safe for concurrent use.
 type Detector struct {
-	cfg   DetectorConfig
 	acs   []*dsp.AutoCorrelator
 	run   int
 	count int
@@ -58,17 +53,11 @@ type Detector struct {
 }
 
 // NewDetector returns a detector over nrx receive streams.
-func NewDetector(nrx int, cfg DetectorConfig) (*Detector, error) {
+func NewDetector(nrx int) (*Detector, error) {
 	if nrx < 1 {
 		return nil, fmt.Errorf("synchro: need at least one receive stream")
 	}
-	if cfg.Threshold <= 0 || cfg.Threshold >= 1 {
-		return nil, fmt.Errorf("synchro: threshold %g outside (0, 1)", cfg.Threshold)
-	}
-	if cfg.Plateau < 1 {
-		return nil, fmt.Errorf("synchro: plateau %d < 1", cfg.Plateau)
-	}
-	d := &Detector{cfg: cfg, armed: true}
+	d := &Detector{armed: true}
 	for i := 0; i < nrx; i++ {
 		// Lag 16 = STF period; window 32 averages two periods.
 		d.acs = append(d.acs, dsp.NewAutoCorrelator(16, 32))
@@ -106,9 +95,9 @@ func (d *Detector) Push(samples []complex128) (*Detection, error) {
 	if power > 0 {
 		metric = cmplx.Abs(corr) / power
 	}
-	if metric >= d.cfg.Threshold && power/float64(len(d.acs)*32) >= d.cfg.MinPower {
+	if metric >= detectThreshold && power/float64(len(d.acs)*32) >= detectMinPower {
 		d.run++
-		if d.run >= d.cfg.Plateau {
+		if d.run >= detectPlateau {
 			d.armed = false
 			return &Detection{Index: d.count - 1, Metric: metric}, nil
 		}

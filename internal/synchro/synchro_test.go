@@ -54,18 +54,8 @@ func feed(t *testing.T, d *Detector, rx [][]complex128) *Detection {
 }
 
 func TestDetectorConfigValidation(t *testing.T) {
-	if _, err := NewDetector(0, DefaultDetectorConfig()); err == nil {
+	if _, err := NewDetector(0); err == nil {
 		t.Error("nrx=0 should fail")
-	}
-	bad := DefaultDetectorConfig()
-	bad.Threshold = 1.5
-	if _, err := NewDetector(1, bad); err == nil {
-		t.Error("threshold > 1 should fail")
-	}
-	bad = DefaultDetectorConfig()
-	bad.Plateau = 0
-	if _, err := NewDetector(1, bad); err == nil {
-		t.Error("plateau 0 should fail")
 	}
 }
 
@@ -73,7 +63,7 @@ func TestDetectsPacketAtModerateSNR(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, nrx := range []int{1, 2} {
 		for trial := 0; trial < 10; trial++ {
-			d, err := NewDetector(nrx, DefaultDetectorConfig())
+			d, err := NewDetector(nrx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +83,7 @@ func TestDetectsPacketAtModerateSNR(t *testing.T) {
 
 func TestNoFalseAlarmOnNoise(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	d, err := NewDetector(2, DefaultDetectorConfig())
+	d, err := NewDetector(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +102,7 @@ func TestNoFalseAlarmOnNoise(t *testing.T) {
 
 func TestDetectorDisarmsAndResets(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	d, _ := NewDetector(1, DefaultDetectorConfig())
+	d, _ := NewDetector(1)
 	rx, _ := burst(r, 1, 100, 0, 20)
 	if det := feed(t, d, rx); det == nil {
 		t.Fatal("no first detection")
@@ -128,7 +118,7 @@ func TestDetectorDisarmsAndResets(t *testing.T) {
 }
 
 func TestDetectorPushValidation(t *testing.T) {
-	d, _ := NewDetector(2, DefaultDetectorConfig())
+	d, _ := NewDetector(2)
 	if _, err := d.Push(make([]complex128, 1)); err == nil {
 		t.Error("wrong sample count should error")
 	}
@@ -375,7 +365,7 @@ func TestFineTimingValidation(t *testing.T) {
 }
 
 func BenchmarkDetectorPush2RX(b *testing.B) {
-	d, _ := NewDetector(2, DefaultDetectorConfig())
+	d, _ := NewDetector(2)
 	s := []complex128{complex(0.5, -0.2), complex(-0.1, 0.7)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

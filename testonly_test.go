@@ -1,11 +1,13 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis/framework"
@@ -27,15 +29,7 @@ const testOnlyTag = "//mimonet:testonly-ok"
 // A tagged function or method that non-test code does call fails the test
 // too, so the tags name exactly the test-only set.
 func TestNoTestOnlyExports(t *testing.T) {
-	root, modPath, err := framework.FindModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader := &framework.Loader{ModRoot: root, ModPath: modPath}
-	pkgs, err := loader.LoadPatterns("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	modPath, pkgs := loadModule(t)
 	ifaces := interfacesByMethod(pkgs)
 
 	type decl struct {
@@ -132,6 +126,231 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for _, f := range found {
 		t.Errorf("%s: no non-test code refers to it: delete it, or tag it %s with the reason", f, testOnlyTag)
 	}
+}
+
+// TestNoUnsetConfigFields fails on every exported field of an exported
+// struct type under internal/ whose name ends in Config, Options or Policy
+// that no non-test file of the module (bench/, cmd/ and examples/ included)
+// sets: a setting with one value in use, which belongs in a constant next to
+// the code that reads it. A write is a composite-literal key, the target of
+// an assignment or increment, or an address taken (a flag binding); writing
+// a field of a field, or an element of one, writes the outer field too.
+// Writes inside the struct's own defaulting code — its withDefaults method,
+// or a Default… function returning it — do not count. A field whose doc or
+// line comment carries testOnlyTag stays (TestNoTestOnlyExports fails a tag
+// without a reason); a tagged field that non-test code does set fails the
+// test too, so no tag goes stale.
+func TestNoUnsetConfigFields(t *testing.T) {
+	modPath, pkgs := loadModule(t)
+
+	type field struct {
+		pos    token.Position
+		what   string
+		owner  types.Object // the config type declaring the field
+		tagged bool
+	}
+	fields := make(map[*types.Var]*field)
+	for _, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.Path, modPath+"/internal/") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, s := range gd.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() || !isConfigName(ts.Name.Name) {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					owner := pkg.Info.Defs[ts.Name]
+					for _, fl := range st.Fields.List {
+						tagged := hasTestOnlyTag(fl.Doc) || hasTestOnlyTag(fl.Comment)
+						for _, name := range fl.Names {
+							if !name.IsExported() {
+								continue
+							}
+							fields[pkg.Info.Defs[name].(*types.Var)] = &field{
+								pos:    pkg.Fset.Position(name.Pos()),
+								what:   pkg.Types.Name() + "." + ts.Name.Name + "." + name.Name,
+								owner:  owner,
+								tagged: tagged,
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	set := make(map[*types.Var]token.Position)
+	for _, pkg := range pkgs {
+		// defaulting is the config type whose own defaulting code the walk
+		// is in, nil elsewhere.
+		var defaulting types.Object
+		mark := func(v *types.Var, at token.Pos) {
+			v = v.Origin()
+			if f, ok := fields[v]; ok && f.owner != defaulting {
+				if _, dup := set[v]; !dup {
+					set[v] = pkg.Fset.Position(at)
+				}
+			}
+		}
+		// markTarget marks every field along an assignment target such as
+		// c.Link.Channel.SNRdB or c.Tones[0].
+		markTarget := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.SelectorExpr:
+					if sel := pkg.Info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+						mark(sel.Obj().(*types.Var), x.Sel.Pos())
+					}
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				defaulting = nil
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					defaulting = defaultsOf(pkg.Info, fd)
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						st, ok := pkg.Info.TypeOf(n).Underlying().(*types.Struct)
+						if !ok {
+							return true
+						}
+						for i, elt := range n.Elts {
+							kv, ok := elt.(*ast.KeyValueExpr)
+							if !ok {
+								mark(st.Field(i), elt.Pos())
+								continue
+							}
+							if v, ok := pkg.Info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								mark(v, kv.Key.Pos())
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							markTarget(lhs)
+						}
+					case *ast.IncDecStmt:
+						markTarget(n.X)
+					case *ast.RangeStmt:
+						if n.Tok == token.ASSIGN {
+							markTarget(n.Key)
+							if n.Value != nil {
+								markTarget(n.Value)
+							}
+						}
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							markTarget(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	var found []string
+	for v, f := range fields {
+		at, isSet := set[v]
+		switch {
+		case isSet && f.tagged:
+			found = append(found, fmt.Sprintf("%s: %s carries %s but %s sets it: drop the tag", f.pos, f.what, testOnlyTag, at))
+		case !isSet && !f.tagged:
+			found = append(found, fmt.Sprintf("%s: no non-test code sets %s: make it a constant, or tag it %s with the reason", f.pos, f.what, testOnlyTag))
+		}
+	}
+	sort.Strings(found)
+	for _, f := range found {
+		t.Error(f)
+	}
+}
+
+// hasTestOnlyTag reports whether a comment group carries testOnlyTag.
+func hasTestOnlyTag(cg *ast.CommentGroup) bool {
+	if cg == nil {
+		return false
+	}
+	for _, c := range cg.List {
+		if strings.HasPrefix(c.Text, testOnlyTag) {
+			return true
+		}
+	}
+	return false
+}
+
+// isConfigName reports whether a type name marks a struct of settings.
+func isConfigName(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")
+}
+
+// defaultsOf returns the config type whose defaulting code fd is: the
+// receiver of a withDefaults method, or the result of a function named
+// Default… that returns one value. It returns nil for any other function.
+func defaultsOf(info *types.Info, fd *ast.FuncDecl) types.Object {
+	sig := info.Defs[fd.Name].Type().(*types.Signature)
+	var t types.Type
+	switch {
+	case fd.Name.Name == "withDefaults" && sig.Recv() != nil:
+		t = sig.Recv().Type()
+	case strings.HasPrefix(fd.Name.Name, "Default") && sig.Results().Len() == 1:
+		t = sig.Results().At(0).Type()
+	default:
+		return nil
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
+	}
+	return nil
+}
+
+// module is the whole module's non-test code, bench/ included, loaded once
+// for the tests in this file.
+var module = sync.OnceValues(func() (loadedModule, error) {
+	root, modPath, err := framework.FindModule(".")
+	if err != nil {
+		return loadedModule{}, err
+	}
+	loader := &framework.Loader{ModRoot: root, ModPath: modPath}
+	pkgs, err := loader.LoadPatterns("./...")
+	return loadedModule{modPath, pkgs}, err
+})
+
+type loadedModule struct {
+	path string
+	pkgs []*framework.Package
+}
+
+// loadModule returns the module path and its packages.
+func loadModule(t *testing.T) (string, []*framework.Package) {
+	m, err := module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.path, m.pkgs
 }
 
 // testOnlyLines returns the lines of f that carry testOnlyTag, and fails the
